@@ -23,7 +23,7 @@ from .protocol import (
     Error,
     ProtocolValue,
     StreamDecoder,
-    encode,
+    encode_command,
 )
 
 
@@ -72,8 +72,7 @@ class Connection:
         """Write one command frame without waiting for the reply."""
         if not args:
             raise ValueError("empty command")
-        frame = Array(tuple(BulkString(_encode_arg(a)) for a in args))
-        self._sock.sendall(encode(frame))
+        self._sock.sendall(encode_command([_encode_arg(a) for a in args]))
 
     def read_reply(self) -> ProtocolValue:
         """Next pending reply, reading from the socket as needed."""

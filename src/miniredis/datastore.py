@@ -11,29 +11,22 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import CommandError, WrongTypeError
+from .protocol import INT64_MAX, INT64_MIN, strict_int
 
 _SKIPLIST_MAX_LEVEL = 32
 _SKIPLIST_P = 0.25
 
-_STRICT_INT_RE = re.compile(rb"[+-]?[0-9]+")
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
-
 
 def parse_int(raw: bytes) -> int:
     """Strict 64-bit integer argument parser (no whitespace, no frills)."""
-    if not _STRICT_INT_RE.fullmatch(raw):
-        raise CommandError("ERR value is not an integer or out of range")
-    value = int(raw)
-    if not INT64_MIN <= value <= INT64_MAX:
+    value = strict_int(raw)
+    if value is None or not INT64_MIN <= value <= INT64_MAX:
         raise CommandError("ERR value is not an integer or out of range")
     return value
 

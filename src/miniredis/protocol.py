@@ -10,7 +10,10 @@ Wire forms::
 
 Bulk strings and array elements are binary safe. Decoding is incremental:
 arbitrary byte chunks go in, complete values come out, and the result does
-not depend on where the chunk boundaries fall.
+not depend on where the chunk boundaries fall. A partly received frame is
+kept between feeds as decoded state (open arrays, the argv under
+construction, the awaited bulk length), so no byte is parsed twice and a
+frame costs time linear in its size however finely it arrives.
 """
 
 from __future__ import annotations
@@ -26,6 +29,20 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 _INTEGER_RE = re.compile(rb"[+-]?[0-9]+")
+
+
+def strict_int(raw: bytes | bytearray) -> int | None:
+    """``raw`` as an integer if it is exactly ``[+-]?[0-9]+``, else None.
+
+    The one integer syntax of wire headers and command arguments: ``int``
+    alone would also take ``1_0`` and `` 1``. Plain digits skip the regex.
+    """
+    if raw.isdigit() or _INTEGER_RE.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -85,6 +102,14 @@ def encode(value: ProtocolValue) -> bytes:
     return bytes(out)
 
 
+def encode_command(argv: list[bytes]) -> bytes:
+    """The array-of-bulk-strings frame of one command, joined once."""
+    parts = [b"*%d\r\n" % len(argv)]
+    for arg in argv:
+        parts += (b"$%d\r\n" % len(arg), arg, CRLF)
+    return b"".join(parts)
+
+
 def _encode_into(value: ProtocolValue, out: bytearray) -> None:
     if isinstance(value, SimpleString):
         _append_line(out, b"+", value.text)
@@ -120,131 +145,181 @@ def _append_line(out: bytearray, marker: bytes, text: str) -> None:
     out += CRLF
 
 
-class _Incomplete(Exception):
-    """Internal signal: more bytes needed before the frame can finish."""
+def _header_int(line: bytearray, offset: int, what: str) -> int:
+    value = strict_int(line)
+    if value is None:
+        raise ProtocolError(f"invalid {what}", offset)
+    return value
 
 
-def _find_line(buf: bytearray, pos: int, limits: DecodeLimits) -> tuple[bytes, int]:
-    idx = buf.find(CRLF, pos)
-    if idx < 0:
-        if len(buf) - pos > limits.max_line_length:
-            raise ProtocolError("line exceeds maximum length", pos)
-        raise _Incomplete
-    if idx - pos > limits.max_line_length:
-        raise ProtocolError("line exceeds maximum length", pos)
-    return bytes(buf[pos:idx]), idx + 2
-
-
-def _parse_header_int(line: bytes, pos: int, what: str) -> int:
-    if not _INTEGER_RE.fullmatch(line):
-        raise ProtocolError(f"invalid {what}", pos)
-    return int(line)
-
-
-def _parse_value(
-    buf: bytearray, pos: int, depth: int, limits: DecodeLimits
-) -> tuple[ProtocolValue, int]:
-    if pos >= len(buf):
-        raise _Incomplete
-    marker = buf[pos]
-    if marker == 0x2B:  # +
-        line, end = _find_line(buf, pos + 1, limits)
-        return SimpleString(_decode_line_text(line, pos, "simple string")), end
-    if marker == 0x2D:  # -
-        line, end = _find_line(buf, pos + 1, limits)
-        return Error(_decode_line_text(line, pos, "error string")), end
-    if marker == 0x3A:  # :
-        line, end = _find_line(buf, pos + 1, limits)
-        value = _parse_header_int(line, pos, "integer")
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise ProtocolError("integer out of 64-bit range", pos)
-        return Integer(value), end
-    if marker == 0x24:  # $
-        line, end = _find_line(buf, pos + 1, limits)
-        length = _parse_header_int(line, pos, "bulk length")
-        if length == -1:
-            return BulkString(None), end
-        if length < 0:
-            raise ProtocolError("invalid bulk length", pos)
-        if length > limits.max_bulk_length:
-            raise ProtocolError("bulk length exceeds limit", pos)
-        body_end = end + length
-        if len(buf) < body_end + 2:
-            raise _Incomplete
-        if buf[body_end : body_end + 2] != CRLF:
-            raise ProtocolError("bulk string missing trailing CRLF", body_end)
-        return BulkString(bytes(buf[end:body_end])), body_end + 2
-    if marker == 0x2A:  # *
-        line, end = _find_line(buf, pos + 1, limits)
-        count = _parse_header_int(line, pos, "array length")
-        if count == -1:
-            return Array(None), end
-        if count < 0:
-            raise ProtocolError("invalid array length", pos)
-        if count > limits.max_array_length:
-            raise ProtocolError("array length exceeds limit", pos)
-        if depth + 1 > limits.max_depth:
-            raise ProtocolError("array nesting exceeds depth limit", pos)
-        items: list[ProtocolValue] = []
-        cursor = end
-        for _ in range(count):
-            item, cursor = _parse_value(buf, cursor, depth + 1, limits)
-            items.append(item)
-        return Array(tuple(items)), cursor
-    raise ProtocolError(f"unknown type byte {bytes([marker])!r}", pos)
-
-
-def _decode_line_text(line: bytes, pos: int, what: str) -> str:
+def _decode_line_text(line: bytes | bytearray, offset: int, what: str) -> str:
     if b"\r" in line or b"\n" in line:
-        raise ProtocolError(f"stray CR or LF inside {what}", pos)
+        raise ProtocolError(f"stray CR or LF inside {what}", offset)
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError:
-        raise ProtocolError(f"invalid UTF-8 in {what}", pos) from None
+        raise ProtocolError(f"invalid UTF-8 in {what}", offset) from None
 
 
-class StreamDecoder:
-    """Incremental decoder for any RESP2 value stream (client replies).
+class _Decoder:
+    """Input buffer, absolute offsets and line framing of both decoders.
 
-    ``feed`` buffers the chunk and returns every value completed by it.
-    A ProtocolError poisons the decoder: the stream has no recovery point,
-    so further feeding raises RuntimeError.
+    ``_buf`` holds only the bytes not yet folded into a value or into the
+    partial state a subclass keeps between feeds; ``_base`` is the stream
+    offset of ``_buf[0]``. A line that is not complete yet remembers how far
+    it was searched, so a header trickled in byte by byte is scanned once.
     """
 
     def __init__(self, limits: DecodeLimits | None = None):
         self._limits = limits or DEFAULT_LIMITS
         self._buf = bytearray()
-        self._consumed = 0
+        self._base = 0
+        self._scanned = 0
+        self._bulk = -1  # length of the bulk body being awaited, else -1
         self._broken = False
+
+    def _decode(self, data: bytes, out: list) -> None:
+        """Run the subclass's ``_run(buf, view, out)``, which appends every
+        entry ``data`` completes and returns how many bytes it consumed,
+        then drop those bytes. On ProtocolError the decoder is poisoned."""
+        if self._broken:
+            raise RuntimeError("decoder is unusable after a protocol error")
+        buf = self._buf
+        buf += data
+        try:
+            with memoryview(buf) as view:
+                pos = self._run(buf, view, out)
+        except ProtocolError:
+            self._broken = True
+            raise
+        del buf[:pos]
+        self._base += pos
+
+    def _line(self, start: int) -> tuple[bytearray, int] | None:
+        """The CRLF-terminated line at ``start`` and the offset after it,
+        or None while its end has not arrived."""
+        buf = self._buf
+        end = buf.find(CRLF, start + self._scanned)
+        if end < 0:
+            if len(buf) - start > self._limits.max_line_length:
+                raise ProtocolError("line exceeds maximum length", self._base + start)
+            self._scanned = max(len(buf) - start - 1, 0)
+            return None
+        self._scanned = 0
+        if end - start > self._limits.max_line_length:
+            raise ProtocolError("line exceeds maximum length", self._base + start)
+        return buf[start:end], end + 2
+
+    def _bulk_body(self, buf: bytearray, view: memoryview, pos: int) -> bytes | None:
+        """The awaited bulk body at ``pos``, or None while incomplete."""
+        end = pos + self._bulk
+        if len(buf) < end + 2:
+            return None
+        if buf[end : end + 2] != CRLF:
+            raise ProtocolError("bulk string missing trailing CRLF", self._base + end)
+        self._bulk = -1
+        return bytes(view[pos:end])
+
+
+_MARKERS = b"+-:$*"
+
+
+class StreamDecoder(_Decoder):
+    """Incremental decoder for any RESP2 value stream (client replies).
+
+    ``feed`` returns every value completed by the chunk. A partly received
+    value is kept between feeds as a stack of open arrays, each with its
+    items so far and the count still due, plus the length of an awaited
+    bulk body, so no byte is parsed twice however the stream is cut.
+    A ProtocolError poisons the decoder: the stream has no recovery point,
+    so further feeding raises RuntimeError.
+    """
+
+    def __init__(self, limits: DecodeLimits | None = None):
+        super().__init__(limits)
+        self._stack: list[tuple[list[ProtocolValue], int]] = []
+        self._done = 0  # stream offset just past the last complete value
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered toward a value that is not complete yet."""
-        return len(self._buf)
+        """Bytes received toward a value that is not complete yet."""
+        return self._base + len(self._buf) - self._done
 
     def feed(self, data: bytes) -> list[ProtocolValue]:
-        if self._broken:
-            raise RuntimeError("decoder is unusable after a protocol error")
-        self._buf.extend(data)
         values: list[ProtocolValue] = []
-        pos = 0
-        try:
-            while pos < len(self._buf):
-                value, pos = _parse_value(self._buf, pos, 0, self._limits)
-                values.append(value)
-        except _Incomplete:
-            pass
-        except ProtocolError as exc:
-            self._broken = True
-            raise ProtocolError(
-                exc.reason, self._consumed + (exc.offset or 0)
-            ) from None
-        del self._buf[:pos]
-        self._consumed += pos
+        self._decode(data, values)
         return values
 
+    def _run(self, buf: bytearray, view: memoryview, out: list) -> int:
+        limits, stack, base = self._limits, self._stack, self._base
+        pos, n = 0, len(buf)
+        while pos < n:
+            value: ProtocolValue
+            if self._bulk >= 0:
+                body = self._bulk_body(buf, view, pos)
+                if body is None:
+                    break
+                value = BulkString(body)
+                pos += len(body) + 2
+            else:
+                marker = buf[pos]
+                if marker not in _MARKERS:
+                    raise ProtocolError(f"unknown type byte {bytes([marker])!r}", base + pos)
+                found = self._line(pos + 1)
+                if found is None:
+                    break
+                line, after = found
+                if marker == 0x24:  # $
+                    length = _header_int(line, base + pos, "bulk length")
+                    if length == -1:
+                        value = NIL
+                    elif length < 0:
+                        raise ProtocolError("invalid bulk length", base + pos)
+                    elif length > limits.max_bulk_length:
+                        raise ProtocolError("bulk length exceeds limit", base + pos)
+                    else:
+                        pos, self._bulk = after, length
+                        continue
+                elif marker == 0x2A:  # *
+                    count = _header_int(line, base + pos, "array length")
+                    if count == -1:
+                        value = Array(None)
+                    elif count < 0:
+                        raise ProtocolError("invalid array length", base + pos)
+                    elif count > limits.max_array_length:
+                        raise ProtocolError("array length exceeds limit", base + pos)
+                    elif len(stack) >= limits.max_depth:
+                        raise ProtocolError("array nesting exceeds depth limit", base + pos)
+                    elif count:
+                        stack.append(([], count))
+                        pos = after
+                        continue
+                    else:
+                        value = Array(())
+                elif marker == 0x3A:  # :
+                    number = _header_int(line, base + pos, "integer")
+                    if not INT64_MIN <= number <= INT64_MAX:
+                        raise ProtocolError("integer out of 64-bit range", base + pos)
+                    value = Integer(number)
+                elif marker == 0x2B:  # +
+                    value = SimpleString(_decode_line_text(line, base + pos, "simple string"))
+                else:  # -
+                    value = Error(_decode_line_text(line, base + pos, "error string"))
+                pos = after
+            while stack:
+                items, count = stack[-1]
+                items.append(value)
+                if len(items) < count:
+                    break
+                stack.pop()
+                value = Array(tuple(items))
+            else:
+                out.append(value)
+                self._done = base + pos
+        return pos
 
-class RequestDecoder:
+
+class RequestDecoder(_Decoder):
     """Incremental decoder for the client-to-server command stream.
 
     Accepts both framings: arrays of bulk strings, and inline lines split
@@ -255,91 +330,83 @@ class RequestDecoder:
 
     - InlineCommandError: the offending line was consumed; decoding went on.
     - ProtocolError: fatal; it is the last entry and the decoder is dead.
+
+    A partly received command is kept between feeds as the argv under
+    construction and the count of bulk strings it still needs, so no byte
+    is parsed twice however the stream is cut.
     """
 
     def __init__(self, limits: DecodeLimits | None = None):
-        self._limits = limits or DEFAULT_LIMITS
-        self._buf = bytearray()
-        self._consumed = 0
-        self._broken = False
+        super().__init__(limits)
+        self._argv: list[bytes] | None = None
+        self._count = 0
 
     def feed(
         self, data: bytes
     ) -> list[list[bytes] | InlineCommandError | ProtocolError]:
-        if self._broken:
-            raise RuntimeError("decoder is unusable after a protocol error")
-        self._buf.extend(data)
         items: list[list[bytes] | InlineCommandError | ProtocolError] = []
-        pos = 0
-        while pos < len(self._buf):
-            if self._buf[pos] == 0x2A:  # *
-                try:
-                    argv, pos = self._parse_request_array(pos)
-                except _Incomplete:
+        try:
+            self._decode(data, items)
+        except ProtocolError as exc:
+            items.append(exc)
+        return items
+
+    def _run(self, buf: bytearray, view: memoryview, out: list) -> int:
+        limits, base, argv = self._limits, self._base, self._argv
+        pos, n = 0, len(buf)
+        while pos < n:
+            if self._bulk >= 0:
+                body = self._bulk_body(buf, view, pos)
+                if body is None:
                     break
-                except ProtocolError as exc:
-                    self._broken = True
-                    items.append(
-                        ProtocolError(exc.reason, self._consumed + (exc.offset or 0))
+                argv.append(body)
+                pos += len(body) + 2
+                if len(argv) == self._count:
+                    out.append(argv)
+                    argv = self._argv = None
+            elif argv is not None:
+                if buf[pos] != 0x24:  # $
+                    raise ProtocolError(
+                        f"expected '$', got {bytes([buf[pos]])!r}", base + pos
                     )
-                    pos = len(self._buf)
+                found = self._line(pos + 1)
+                if found is None:
                     break
-                if argv:
-                    items.append(argv)
+                length = _header_int(found[0], base + pos, "bulk length")
+                if length < 0 or length > limits.max_bulk_length:
+                    raise ProtocolError("invalid bulk length", base + pos)
+                pos, self._bulk = found[1], length
+            elif buf[pos] == 0x2A:  # *
+                found = self._line(pos + 1)
+                if found is None:
+                    break
+                count = _header_int(found[0], base + pos, "multibulk length")
+                if count < 0 or count > limits.max_array_length:
+                    raise ProtocolError("invalid multibulk length", base + pos)
+                pos = found[1]
+                if count:
+                    argv = self._argv = []
+                    self._count = count
             else:
-                nl = self._buf.find(b"\n", pos)
+                nl = buf.find(b"\n", pos + self._scanned)
                 if nl < 0:
-                    if len(self._buf) - pos > self._limits.max_line_length:
-                        self._broken = True
-                        items.append(
-                            ProtocolError("too big inline request", self._consumed + pos)
-                        )
-                        pos = len(self._buf)
+                    if n - pos > limits.max_line_length:
+                        raise ProtocolError("too big inline request", base + pos)
+                    self._scanned = n - pos
                     break
-                line = bytes(self._buf[pos:nl])
+                self._scanned = 0
+                line = bytes(view[pos:nl])
                 if line.endswith(b"\r"):
                     line = line[:-1]
                 pos = nl + 1
                 try:
                     tokens = tokenize_inline(line)
                 except InlineCommandError as exc:
-                    items.append(exc)
+                    out.append(exc)
                     continue
                 if tokens:
-                    items.append(tokens)
-        del self._buf[:pos]
-        self._consumed += pos
-        return items
-
-    def _parse_request_array(self, pos: int) -> tuple[list[bytes], int]:
-        limits = self._limits
-        line, cursor = _find_line(self._buf, pos + 1, limits)
-        count = _parse_header_int(line, pos, "multibulk length")
-        if count < 0:
-            raise ProtocolError("invalid multibulk length", pos)
-        if count > limits.max_array_length:
-            raise ProtocolError("invalid multibulk length", pos)
-        argv: list[bytes] = []
-        for _ in range(count):
-            if cursor >= len(self._buf):
-                raise _Incomplete
-            marker = self._buf[cursor]
-            if marker != 0x24:  # $
-                raise ProtocolError(
-                    f"expected '$', got {bytes([marker])!r}", cursor
-                )
-            line, after = _find_line(self._buf, cursor + 1, limits)
-            length = _parse_header_int(line, cursor, "bulk length")
-            if length < 0 or length > limits.max_bulk_length:
-                raise ProtocolError("invalid bulk length", cursor)
-            body_end = after + length
-            if len(self._buf) < body_end + 2:
-                raise _Incomplete
-            if self._buf[body_end : body_end + 2] != CRLF:
-                raise ProtocolError("bulk string missing trailing CRLF", body_end)
-            argv.append(bytes(self._buf[after:body_end]))
-            cursor = body_end + 2
-        return argv, cursor
+                    out.append(tokens)
+        return pos
 
 
 _INLINE_ESCAPES = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import socket
 import struct
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from miniredis.client import (
     Connection,
+    _encode_arg,
     decode_row,
     encode_row,
     format_float,
@@ -20,7 +22,7 @@ from miniredis.client import (
     zrangebyscore_matrix,
 )
 from miniredis.errors import ReplyError, RowDecodeError
-from miniredis.protocol import BulkString, Error, Integer, SimpleString
+from miniredis.protocol import Array, BulkString, Error, Integer, SimpleString, encode
 
 
 # -- wire client -------------------------------------------------------------
@@ -60,6 +62,25 @@ def test_pipelining_preserves_order(conn):
         conn.send_command("LPUSH", "pipe", str(i))
     replies = [conn.read_reply() for _ in range(20)]
     assert replies == [Integer(i + 1) for i in range(20)]
+
+
+def test_send_command_frames_like_the_generic_encoder():
+    args = ("HSET", b"k\x00\r\n", bytearray(b"$3\r\n"), "h\u00e9", 42, -7, 1.5, 1e20, b"")
+    expected = encode(Array(tuple(BulkString(_encode_arg(a)) for a in args)))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+        with Connection("127.0.0.1", listener.getsockname()[1], timeout=5) as conn:
+            peer, _ = listener.accept()
+            with peer:
+                peer.settimeout(5)
+                conn.send_command(*args)
+                sent = b""
+                while len(sent) < len(expected):
+                    chunk = peer.recv(65536)
+                    if not chunk:
+                        break
+                    sent += chunk
+    assert sent == expected
 
 
 def test_connection_refused_raises_oserror():

@@ -310,7 +310,8 @@ def test_parse_int_strictness():
     assert parse_int(b"42") == 42
     assert parse_int(b"-7") == -7
     assert parse_int(b"+7") == 7
-    for raw in (b"", b"abc", b"1.5", b" 1", b"1 ", b"1_0", b"0x10", b"99999999999999999999"):
+    for raw in (b"", b"abc", b"1.5", b" 1", b"1 ", b"1_0", b"0x10", b"99999999999999999999",
+                b"1" * 5000):
         with pytest.raises(CommandError):
             parse_int(raw)
 

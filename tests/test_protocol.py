@@ -6,6 +6,8 @@ grammar and must never be computed by the code under test.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,12 +122,26 @@ def test_feed_buffers_partial_frames():
 def test_feed_split_inside_header():
     decoder = StreamDecoder()
     assert decoder.feed(b"*2\r\n$4\r\nPI") == []
+    assert decoder.pending_bytes == 10  # includes the headers already decoded
     assert decoder.feed(b"NG\r\n:5\r\n") == [Array((BulkString(b"PING"), Integer(5)))]
 
 
 def test_unicode_simple_string_roundtrip():
     value = SimpleString("héllo wörld")
     assert StreamDecoder().feed(encode(value)) == [value]
+
+
+def _feed_until_error(decoder, wire: bytes, whole: bool) -> ProtocolError:
+    """Feed ``wire`` at once or byte by byte; return the ProtocolError."""
+    chunks = [wire] if whole else [wire[i : i + 1] for i in range(len(wire))]
+    for chunk in chunks:
+        try:
+            for item in decoder.feed(chunk):
+                if isinstance(item, ProtocolError):
+                    return item
+        except ProtocolError as exc:
+            return exc
+    raise AssertionError("no ProtocolError raised")
 
 
 @pytest.mark.parametrize(
@@ -136,6 +152,7 @@ def test_unicode_simple_string_roundtrip():
         (b":1_0\r\n", 0),
         (b": 1\r\n", 0),
         (b":9223372036854775808\r\n", 0),
+        pytest.param(b":" + b"1" * 5000 + b"\r\n", 0, id="5000-digit integer"),
         (b"$-2\r\n", 0),
         (b"$2x\r\nab\r\n", 0),
         (b"*-5\r\n", 0),
@@ -143,13 +160,12 @@ def test_unicode_simple_string_roundtrip():
         (b"$5\r\nhelloXY", 9),
         (b"+O\rK\r\n", 0),
         (b"+O\nK\r\n", 0),
+        (b"*2\r\n*1\r\n:1\r\n$1\r\nab\r\n", 17),
     ],
 )
 def test_decode_errors_carry_absolute_offsets(wire, offset):
-    decoder = StreamDecoder()
-    with pytest.raises(ProtocolError) as excinfo:
-        decoder.feed(wire)
-    assert excinfo.value.offset == offset
+    for whole in (True, False):
+        assert _feed_until_error(StreamDecoder(), wire, whole).offset == offset
 
 
 def test_offset_survives_chunked_feeding():
@@ -295,6 +311,53 @@ def test_request_binary_safe_arguments():
     assert RequestDecoder().feed(wire) == [[b"HSET", b"k", payload]]
 
 
+@pytest.mark.parametrize(
+    "wire,offset,reason",
+    [
+        (b"*x\r\n", 0, "invalid multibulk length"),
+        (b"*1\r\n:5\r\n", 4, "expected '$'"),
+        (b"*1\r\n$-1\r\n", 4, "invalid bulk length"),
+        (b"PING\r\n*1\r\n$3\r\nabcXY", 17, "missing trailing CRLF"),
+        (b"*1\r\n$4\r\nPING\r\n*1\r\n$" + b"9" * 80, 19, "line exceeds"),
+        (b"PING\r\n" + b"x" * 80, 6, "too big inline request"),
+    ],
+)
+def test_request_errors_carry_absolute_offsets(wire, offset, reason):
+    for whole in (True, False):
+        decoder = RequestDecoder(DecodeLimits(max_line_length=64))
+        error = _feed_until_error(decoder, wire, whole)
+        assert error.offset == offset
+        assert reason in error.reason
+
+
+def _best_chunked_decode_s(decoder_cls, wire: bytes, chunk: int = 1024) -> float:
+    best = float("inf")
+    for _ in range(5):
+        decoder = decoder_cls()
+        start = time.perf_counter()
+        decoded = []
+        for i in range(0, len(wire), chunk):
+            decoded.extend(decoder.feed(wire[i : i + chunk]))
+        best = min(best, time.perf_counter() - start)
+        assert len(decoded) == 1
+    return best
+
+
+def _many_bulk_frame(n: int) -> bytes:
+    return encode(Array(tuple(BulkString(b"m%06d" % i) for i in range(n))))
+
+
+@pytest.mark.parametrize("decoder_cls", [RequestDecoder, StreamDecoder])
+def test_chunked_decoding_scales_linearly(decoder_cls):
+    # A frame arriving in many reads must cost time linear in its size:
+    # 4x the elements should take ~4x the time, where re-parsing the
+    # frame from its start on every read would take ~16x.
+    n = 2000
+    small = _best_chunked_decode_s(decoder_cls, _many_bulk_frame(n))
+    large = _best_chunked_decode_s(decoder_cls, _many_bulk_frame(4 * n))
+    assert large / small < 8
+
+
 # -- inline tokenizer -------------------------------------------------------
 
 
@@ -382,17 +445,19 @@ def test_concatenated_stream_decodes_in_order(values):
 
 
 @given(
-    argv=st.lists(st.binary(max_size=32), min_size=1, max_size=6),
+    argvs=st.lists(
+        st.lists(st.binary(max_size=300), min_size=1, max_size=6), min_size=1, max_size=5
+    ),
     data=st.data(),
 )
 @settings(max_examples=200)
-def test_request_roundtrip_any_chunking(argv, data):
-    wire = encode(Array(tuple(BulkString(a) for a in argv)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=6)))
+def test_request_roundtrip_any_chunking(argvs, data):
+    wire = b"".join(encode(Array(tuple(BulkString(a) for a in argv))) for argv in argvs)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(wire)), max_size=12)))
     decoder = RequestDecoder()
     seen = []
     previous = 0
     for cut in cuts + [len(wire)]:
         seen.extend(decoder.feed(wire[previous:cut]))
         previous = cut
-    assert seen == [argv]
+    assert seen == argvs

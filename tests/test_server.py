@@ -113,6 +113,26 @@ def test_partial_frame_then_disconnect_changes_nothing(server):
         assert recv_exactly(sock, 5) == b"$-1\r\n"
 
 
+def test_trickled_large_frame_does_not_stall_other_clients(server):
+    # A 100 000-member SADD arriving in small reads must cost the server
+    # time linear in its size; re-parsing the partial frame on every read
+    # held the event loop for minutes and starved the second connection.
+    members = 100_000
+    wire = b"".join(
+        [b"*%d\r\n$4\r\nSADD\r\n$1\r\ns\r\n" % (members + 2)]
+        + [b"$7\r\nm%06d\r\n" % i for i in range(members)]
+    )
+    deadline = time.monotonic() + 30
+    with connect_raw(server) as slow, connect_raw(server) as other:
+        for i in range(0, len(wire), 4096):
+            slow.sendall(wire[i : i + 4096])
+            other.settimeout(max(deadline - time.monotonic(), 0.001))
+            other.sendall(b"PING\r\n")
+            assert recv_exactly(other, 7) == b"+PONG\r\n"
+        slow.settimeout(max(deadline - time.monotonic(), 0.001))
+        assert recv_exactly(slow, 9) == b":100000\r\n"
+
+
 def test_quit_gets_ok_then_close(server):
     with connect_raw(server) as sock:
         sock.sendall(b"*1\r\n$4\r\nQUIT\r\n")
