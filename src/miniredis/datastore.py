@@ -21,6 +21,7 @@ from .protocol import INT64_MAX, INT64_MIN, strict_int
 
 _SKIPLIST_MAX_LEVEL = 32
 _SKIPLIST_P = 0.25
+_UNDERSCORE = ord("_")
 
 
 def parse_int(raw: bytes) -> int:
@@ -31,15 +32,24 @@ def parse_int(raw: bytes) -> int:
     return value
 
 
+def parse_float(raw: bytes, message: str) -> float:
+    """Redis float syntax: what ``float`` takes, minus NaN, ``_`` and
+    leading or trailing whitespace (Redis's ``strtod`` checks refuse them).
+    Infinities and exponents pass. Raises CommandError(message) otherwise."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise CommandError(message) from None
+    # float() refused every other control byte, so an end byte at or below
+    # b" " is whitespace. (An int needle keeps `in` off its slow path.)
+    if math.isnan(value) or raw[0] <= 32 or raw[-1] <= 32 or _UNDERSCORE in raw:
+        raise CommandError(message)
+    return value
+
+
 def parse_score(raw: bytes) -> float:
     """Sorted-set score parser: any finite or infinite float, never NaN."""
-    try:
-        value = float(raw.decode("ascii"))
-    except (UnicodeDecodeError, ValueError):
-        raise CommandError("ERR value is not a valid float") from None
-    if math.isnan(value):
-        raise CommandError("ERR value is not a valid float")
-    return value
+    return parse_float(raw, "ERR value is not a valid float")
 
 
 @dataclass(frozen=True)
@@ -54,13 +64,7 @@ class RangeBound:
         exclusive = raw.startswith(b"(")
         if exclusive:
             raw = raw[1:]
-        try:
-            value = float(raw.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise CommandError("ERR min or max is not a float") from None
-        if math.isnan(value):
-            raise CommandError("ERR min or max is not a float")
-        return cls(value, exclusive)
+        return cls(parse_float(raw, "ERR min or max is not a float"), exclusive)
 
     def admits_low(self, score: float) -> bool:
         """True when ``score`` clears this bound used as the minimum."""

@@ -1,17 +1,24 @@
-"""Command registry and dispatch: decoded argv in, reply frames out.
+"""Command table and dispatch: decoded argv in, reply frames out.
+
+The command table is data: one row per command name holding the fewest
+and the most arguments it takes (None means variadic), whether a session
+in subscriber mode may send it, and the handler that runs it. Most
+handlers only forward the arguments to a KeyStore or Broker method and
+wrap its result as a reply; the few with logic of their own stay short.
 
 Command names are matched case-insensitively; keys, fields, members and
 payloads pass through untouched as bytes. Dispatch never raises for a bad
 command: every failure becomes an error reply, and the keyspace is left
-exactly as it was. dispatch() returns the frames owed to the calling
-session (one for most commands, one ack per channel for subscribe and
-unsubscribe).
+exactly as it was. Errors come in a fixed order: unknown command, wrong
+arity, subscriber mode, then whatever the handler raises. dispatch()
+returns the frames owed to the calling session (one for most commands,
+one ack per channel for subscribe and unsubscribe).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .datastore import KeyStore, RangeBound, parse_int, parse_score
 from .errors import CommandError, InlineCommandError
@@ -46,43 +53,61 @@ class LocalSession:
         self.pushed.append(value)
 
 
-@dataclass(frozen=True)
-class CommandSpec:
-    name: str
-    min_args: int
-    max_args: int | None  # None means variadic
-    handler: Callable
-    in_subscriber_mode: bool = False
-
-
 class Router:
     """Binds one KeyStore and one Broker behind the command surface."""
 
     def __init__(self, store: KeyStore | None = None, broker: Broker | None = None):
-        self.store = store or KeyStore()
-        self.broker = broker or Broker()
+        self.store = store = store or KeyStore()
+        self.broker = broker = broker or Broker()
         self._local = LocalSession()
-        self._commands = {spec.name: spec for spec in self._build_specs()}
+        # name: (min args, max args or None, allowed while subscribed, handler)
+        self._commands: dict[str, tuple[int, int | None, bool, Callable]] = {
+            "PING": (0, 1, True, _ping),
+            "QUIT": (0, 0, True, _quit),
+            "COMMAND": (0, None, False, _command),
+            "SET": (2, 2, False, _forward(store.set, _ok)),
+            "GET": (1, 1, False, _forward(store.get, BulkString)),
+            "HSET": (3, 3, False, _forward(store.hset, Integer)),
+            "HGET": (2, 2, False, _forward(store.hget, BulkString)),
+            "HEXISTS": (2, 2, False, _forward(store.hexists, Integer)),
+            "HDEL": (2, None, False, _forward(store.hdel, Integer)),
+            "SADD": (2, None, False, _forward(store.sadd, Integer)),
+            "SREM": (2, None, False, _forward(store.srem, Integer)),
+            "SINTER": (1, None, False, _forward(store.sinter, _member_array)),
+            "SUNION": (1, None, False, _forward(store.sunion, _member_array)),
+            "SDIFF": (1, None, False, _forward(store.sdiff, _member_array)),
+            "LPUSH": (2, None, False, _forward(store.lpush, Integer)),
+            "LLEN": (1, 1, False, _forward(store.llen, Integer)),
+            "LINDEX": (2, 2, False, self._lindex),
+            "LRANGE": (3, 3, False, self._lrange),
+            "ZADD": (3, None, False, self._zadd),
+            "ZRANGEBYSCORE": (3, 3, False, self._zrangebyscore),
+            "DEL": (1, None, False, _forward(store.delete, Integer)),
+            "EXISTS": (1, None, False, _forward(store.exists, Integer)),
+            "FLUSHALL": (0, 0, False, _forward(store.flushall, _ok)),
+            "SUBSCRIBE": (1, None, True, broker.subscribe),
+            "UNSUBSCRIBE": (0, None, True, broker.unsubscribe),
+            "PUBLISH": (2, 2, False, _forward(broker.publish, Integer)),
+        }
 
     def dispatch(self, session, argv: list[bytes]) -> list[ProtocolValue]:
         if not argv:
             return []
         name = argv[0].decode("latin-1").upper()
-        spec = self._commands.get(name)
-        if spec is None:
+        row = self._commands.get(name)
+        if row is None:
             shown = argv[0].decode("latin-1").encode("unicode_escape").decode("ascii")
             return [Error(f"ERR unknown command '{shown}'")]
+        min_args, max_args, while_subscribed, handler = row
         args = argv[1:]
-        if len(args) < spec.min_args or (
-            spec.max_args is not None and len(args) > spec.max_args
-        ):
+        if len(args) < min_args or (max_args is not None and len(args) > max_args):
             return [
                 Error(f"ERR wrong number of arguments for '{name.lower()}' command")
             ]
-        if not spec.in_subscriber_mode and self.broker.subscription_count(session):
+        if not while_subscribed and self.broker.subscription_count(session):
             return [Error(SUBSCRIBER_MODE_ERROR)]
         try:
-            reply = spec.handler(session, args)
+            reply = handler(session, args)
         except CommandError as exc:
             return [Error(exc.message)]
         return reply if isinstance(reply, list) else [reply]
@@ -103,80 +128,16 @@ class Router:
         """Registered command names, for the curious."""
         return sorted(self._commands)
 
-    # -- handlers: connection ----------------------------------------------
+    # -- handlers that parse their arguments -------------------------------
 
-    def _cmd_ping(self, session, args):
-        if args:
-            return BulkString(args[0])
-        return PONG
-
-    def _cmd_quit(self, session, args):
-        session.close_requested = True
-        return OK
-
-    def _cmd_command(self, session, args):
-        # Tolerant stub so client handshakes at connect time do not wedge.
-        return Array(())
-
-    # -- handlers: strings ---------------------------------------------------
-
-    def _cmd_set(self, session, args):
-        self.store.set(args[0], args[1])
-        return OK
-
-    def _cmd_get(self, session, args):
-        return BulkString(self.store.get(args[0]))
-
-    # -- handlers: hashes ------------------------------------------------
-
-    def _cmd_hset(self, session, args):
-        return Integer(self.store.hset(args[0], args[1], args[2]))
-
-    def _cmd_hget(self, session, args):
-        return BulkString(self.store.hget(args[0], args[1]))
-
-    def _cmd_hexists(self, session, args):
-        return Integer(self.store.hexists(args[0], args[1]))
-
-    def _cmd_hdel(self, session, args):
-        return Integer(self.store.hdel(args[0], *args[1:]))
-
-    # -- handlers: sets ------------------------------------------------------
-
-    def _cmd_sadd(self, session, args):
-        return Integer(self.store.sadd(args[0], *args[1:]))
-
-    def _cmd_srem(self, session, args):
-        return Integer(self.store.srem(args[0], *args[1:]))
-
-    def _cmd_sinter(self, session, args):
-        return _member_array(self.store.sinter(*args))
-
-    def _cmd_sunion(self, session, args):
-        return _member_array(self.store.sunion(*args))
-
-    def _cmd_sdiff(self, session, args):
-        return _member_array(self.store.sdiff(*args))
-
-    # -- handlers: lists ---------------------------------------------------
-
-    def _cmd_lpush(self, session, args):
-        return Integer(self.store.lpush(args[0], *args[1:]))
-
-    def _cmd_llen(self, session, args):
-        return Integer(self.store.llen(args[0]))
-
-    def _cmd_lindex(self, session, args):
+    def _lindex(self, session, args):
         return BulkString(self.store.lindex(args[0], parse_int(args[1])))
 
-    def _cmd_lrange(self, session, args):
+    def _lrange(self, session, args):
         start, stop = parse_int(args[1]), parse_int(args[2])
-        items = self.store.lrange(args[0], start, stop)
-        return Array(tuple(BulkString(item) for item in items))
+        return _bulk_array(self.store.lrange(args[0], start, stop))
 
-    # -- handlers: sorted sets ---------------------------------------------
-
-    def _cmd_zadd(self, session, args):
+    def _zadd(self, session, args):
         if len(args) % 2 == 0:
             raise CommandError("ERR syntax error")
         # Validate every score before touching the keyspace.
@@ -185,70 +146,38 @@ class Router:
         ]
         return Integer(self.store.zadd(args[0], pairs))
 
-    def _cmd_zrangebyscore(self, session, args):
-        low = RangeBound.parse(args[1])
-        high = RangeBound.parse(args[2])
-        members = self.store.zrangebyscore(args[0], low, high)
-        return Array(tuple(BulkString(m) for m in members))
+    def _zrangebyscore(self, session, args):
+        low, high = RangeBound.parse(args[1]), RangeBound.parse(args[2])
+        return _bulk_array(self.store.zrangebyscore(args[0], low, high))
 
-    # -- handlers: keyspace ----------------------------------------------
 
-    def _cmd_del(self, session, args):
-        return Integer(self.store.delete(*args))
+def _forward(method: Callable, wrap: Callable) -> Callable:
+    """Handler that passes every argument to ``method`` and wraps its result."""
+    return lambda session, args: wrap(method(*args))
 
-    def _cmd_exists(self, session, args):
-        return Integer(self.store.exists(*args))
 
-    def _cmd_flushall(self, session, args):
-        self.store.flushall()
-        return OK
+def _ok(_result) -> ProtocolValue:
+    return OK
 
-    # -- handlers: pub/sub -------------------------------------------------
 
-    def _cmd_subscribe(self, session, args):
-        return list(self.broker.subscribe(session, args))
+def _ping(session, args):
+    return BulkString(args[0]) if args else PONG
 
-    def _cmd_unsubscribe(self, session, args):
-        return list(self.broker.unsubscribe(session, args))
 
-    def _cmd_publish(self, session, args):
-        return Integer(self.broker.publish(args[0], args[1]))
+def _quit(session, args):
+    session.close_requested = True
+    return OK
 
-    def _build_specs(self) -> list[CommandSpec]:
-        return [
-            CommandSpec("PING", 0, 1, self._cmd_ping, in_subscriber_mode=True),
-            CommandSpec("QUIT", 0, 0, self._cmd_quit, in_subscriber_mode=True),
-            CommandSpec("COMMAND", 0, None, self._cmd_command),
-            CommandSpec("SET", 2, 2, self._cmd_set),
-            CommandSpec("GET", 1, 1, self._cmd_get),
-            CommandSpec("HSET", 3, 3, self._cmd_hset),
-            CommandSpec("HGET", 2, 2, self._cmd_hget),
-            CommandSpec("HEXISTS", 2, 2, self._cmd_hexists),
-            CommandSpec("HDEL", 2, None, self._cmd_hdel),
-            CommandSpec("SADD", 2, None, self._cmd_sadd),
-            CommandSpec("SREM", 2, None, self._cmd_srem),
-            CommandSpec("SINTER", 1, None, self._cmd_sinter),
-            CommandSpec("SUNION", 1, None, self._cmd_sunion),
-            CommandSpec("SDIFF", 1, None, self._cmd_sdiff),
-            CommandSpec("LPUSH", 2, None, self._cmd_lpush),
-            CommandSpec("LLEN", 1, 1, self._cmd_llen),
-            CommandSpec("LINDEX", 2, 2, self._cmd_lindex),
-            CommandSpec("LRANGE", 3, 3, self._cmd_lrange),
-            CommandSpec("ZADD", 3, None, self._cmd_zadd),
-            CommandSpec("ZRANGEBYSCORE", 3, 3, self._cmd_zrangebyscore),
-            CommandSpec("DEL", 1, None, self._cmd_del),
-            CommandSpec("EXISTS", 1, None, self._cmd_exists),
-            CommandSpec("FLUSHALL", 0, 0, self._cmd_flushall),
-            CommandSpec(
-                "SUBSCRIBE", 1, None, self._cmd_subscribe, in_subscriber_mode=True
-            ),
-            CommandSpec(
-                "UNSUBSCRIBE", 0, None, self._cmd_unsubscribe, in_subscriber_mode=True
-            ),
-            CommandSpec("PUBLISH", 2, 2, self._cmd_publish),
-        ]
+
+def _command(session, args):
+    # Tolerant stub so client handshakes at connect time do not wedge.
+    return Array(())
+
+
+def _bulk_array(items: Iterable[bytes]) -> Array:
+    return Array(tuple(BulkString(item) for item in items))
 
 
 def _member_array(members: set[bytes]) -> Array:
     # Set algebra has no inherent order; sort so replies are deterministic.
-    return Array(tuple(BulkString(m) for m in sorted(members)))
+    return _bulk_array(sorted(members))

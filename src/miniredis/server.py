@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass, fields
 
 from .errors import InlineCommandError, ProtocolError
-from .protocol import DecodeLimits, Error, RequestDecoder, encode
+from .protocol import DecodeLimits, Error, RequestDecoder, encode, strict_int
 from .router import Router
 
 log = logging.getLogger("miniredis.server")
@@ -95,7 +95,7 @@ def build_config(
     file_pairs: dict[str, str] | None = None, **overrides
 ) -> ServerConfig:
     """Defaults, then config file pairs, then explicit overrides."""
-    known = {f.name: f.type for f in fields(ServerConfig)}
+    known = {f.name for f in fields(ServerConfig)}
     kwargs: dict[str, object] = {}
     for key, text in (file_pairs or {}).items():
         name = key.replace("-", "_")
@@ -109,10 +109,10 @@ def build_config(
 
 
 def _parse_config_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"configuration key {key} expects an integer, got {text!r}") from None
+    value = strict_int(text.encode("utf-8"))
+    if value is None:
+        raise ValueError(f"configuration key {key} expects an integer, got {text!r}")
+    return value
 
 
 class Session:

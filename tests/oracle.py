@@ -8,7 +8,6 @@ the reply value types, so a bug has to be made twice to hide.
 
 from __future__ import annotations
 
-import math
 import re
 
 from miniredis.protocol import Array, BulkString, Error, Integer, SimpleString
@@ -16,6 +15,12 @@ from miniredis.protocol import Array, BulkString, Error, Integer, SimpleString
 WRONGTYPE = "WRONGTYPE Operation against a key holding the wrong kind of value"
 
 _INT_RE = re.compile(rb"[+-]?[0-9]+")
+# Redis float syntax: decimal or exponent forms and infinities; no NaN, no
+# surrounding whitespace, no '_' digit separators.
+_FLOAT_RE = re.compile(
+    rb"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity)",
+    re.IGNORECASE,
+)
 
 # (min, max) argument counts, command name excluded; None means variadic.
 _ARITY = {
@@ -89,13 +94,9 @@ class Oracle:
         return int(raw)
 
     def _float(self, raw: bytes, message: str) -> float:
-        try:
-            value = float(raw.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            raise Wrong(message) from None
-        if math.isnan(value):
+        if not _FLOAT_RE.fullmatch(raw):
             raise Wrong(message)
-        return value
+        return float(raw)
 
     # -- commands -----------------------------------------------------------
 

@@ -289,7 +289,7 @@ def test_parse_score_rejects_nan_and_garbage():
     assert parse_score(b"1.5") == 1.5
     assert parse_score(b"inf") == float("inf")
     assert parse_score(b"-inf") == float("-inf")
-    for raw in (b"nan", b"NaN", b"abc", b"", b"\xff"):
+    for raw in (b"nan", b"NaN", b"abc", b"", b"\xff", b" 1", b"1 ", b"1_0"):
         with pytest.raises(CommandError) as excinfo:
             parse_score(raw)
         assert excinfo.value.message == "ERR value is not a valid float"
@@ -300,7 +300,7 @@ def test_range_bound_parse():
     assert RangeBound.parse(b"(100") == RangeBound(100.0, True)
     assert RangeBound.parse(b"-inf") == RangeBound(float("-inf"), False)
     assert RangeBound.parse(b"(+inf") == RangeBound(float("inf"), True)
-    for raw in (b"nan", b"(nan", b"abc", b"(", b""):
+    for raw in (b"nan", b"(nan", b"abc", b"(", b"", b"(1_0", b"( 1"):
         with pytest.raises(CommandError) as excinfo:
             RangeBound.parse(raw)
         assert excinfo.value.message == "ERR min or max is not a float"

@@ -70,6 +70,59 @@ def test_wrong_arity_message_uses_lowercase_name(router, session):
     )
 
 
+# name: (min args, max args or None, allowed while subscribed), as Redis has them.
+COMMAND_TABLE = {
+    "PING": (0, 1, True),
+    "QUIT": (0, 0, True),
+    "COMMAND": (0, None, False),
+    "SET": (2, 2, False),
+    "GET": (1, 1, False),
+    "HSET": (3, 3, False),
+    "HGET": (2, 2, False),
+    "HEXISTS": (2, 2, False),
+    "HDEL": (2, None, False),
+    "SADD": (2, None, False),
+    "SREM": (2, None, False),
+    "SINTER": (1, None, False),
+    "SUNION": (1, None, False),
+    "SDIFF": (1, None, False),
+    "LPUSH": (2, None, False),
+    "LLEN": (1, 1, False),
+    "LINDEX": (2, 2, False),
+    "LRANGE": (3, 3, False),
+    "ZADD": (3, None, False),
+    "ZRANGEBYSCORE": (3, 3, False),
+    "DEL": (1, None, False),
+    "EXISTS": (1, None, False),
+    "FLUSHALL": (0, 0, False),
+    "SUBSCRIBE": (1, None, True),
+    "UNSUBSCRIBE": (0, None, True),
+    "PUBLISH": (2, 2, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_TABLE))
+def test_every_command_arity_and_subscriber_flag(name):
+    low, high, while_subscribed = COMMAND_TABLE[name]
+    arity_error = Error(f"ERR wrong number of arguments for '{name.lower()}' command")
+    counts = ([low - 1] if low > 0 else []) + ([high + 1] if high is not None else [])
+    for count in counts:
+        reply = one(Router().dispatch(LocalSession(), [name.encode()] + [b"1"] * count))
+        assert reply == arity_error, count
+
+    router, subscriber = Router(), LocalSession()
+    router.dispatch(subscriber, [b"SUBSCRIBE", b"ch"])
+    # Arity is checked before subscriber mode.
+    for count in counts:
+        replies = router.dispatch(subscriber, [name.encode()] + [b"1"] * count)
+        assert one(replies) == arity_error, count
+    replies = router.dispatch(subscriber, [name.encode()] + [b"1"] * low)
+    if while_subscribed:
+        assert Error(SUBSCRIBER_MODE_ERROR) not in replies
+    else:
+        assert one(replies) == Error(SUBSCRIBER_MODE_ERROR)
+
+
 def test_empty_argv_produces_no_reply(router, session):
     assert router.dispatch(session, []) == []
 
@@ -225,7 +278,7 @@ def test_every_command_dispatches_under_random_casing(router):
         "QUIT": [],
         "COMMAND": [],
     }
-    assert sorted(probes) == router.commands()
+    assert sorted(probes) == sorted(COMMAND_TABLE) == router.commands()
     for name, args in probes.items():
         for _ in range(4):
             cased = "".join(

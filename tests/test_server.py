@@ -299,8 +299,9 @@ def test_build_config_rejects_unknown_key():
 
 
 def test_build_config_rejects_non_integer():
-    with pytest.raises(ValueError, match="expects an integer"):
-        build_config({"port": "abc"})
+    for text in ("abc", "6_379"):
+        with pytest.raises(ValueError, match="expects an integer"):
+            build_config({"port": text})
 
 
 @pytest.mark.parametrize(
