@@ -39,7 +39,9 @@ HELPER_NAMES = (b"zadd-matrix", b"zrange-matrix", b"hset-blob", b"hget-blob")
 
 
 def render(value: ProtocolValue, raw: bool) -> bytes:
-    return _render_raw(value) if raw else _render_human(value).encode("utf-8", "surrogateescape") + b"\n"
+    if raw:
+        return _render_raw(value)
+    return "\n".join(_human_lines(value)).encode("utf-8", "surrogateescape") + b"\n"
 
 
 def _render_raw(value: ProtocolValue) -> bytes:
@@ -54,10 +56,6 @@ def _render_raw(value: ProtocolValue) -> bytes:
     if value.items is None:
         return b"\n"
     return b"".join(_render_raw(item) for item in value.items)
-
-
-def _render_human(value: ProtocolValue) -> str:
-    return "\n".join(_human_lines(value))
 
 
 def _human_lines(value: ProtocolValue) -> list[str]:
@@ -179,28 +177,52 @@ def run_once(
 ) -> int:
     """Run one command (or helper) and print its reply. Exit status 0
     covers error replies too; only usage and transport failures are 1."""
-    name = tokens[0].lower()
     try:
-        if name in HELPER_NAMES:
-            return _run_helper(conn, name, tokens[1:], out, err, raw)
-        if name == b"subscribe":
-            return _run_subscribe(conn, tokens, out, raw)
-        reply = conn.execute(*tokens)
-    except (ConnectionError, OSError) as exc:
+        return _run_command(conn, tokens, out, err, raw)
+    except OSError as exc:
         print(f"miniredis-cli: {exc}", file=err)
         return 1
-    out.write(render(reply, raw))
-    out.flush()
+
+
+def _run_command(
+    conn: Connection, tokens: list[bytes], out: BinaryIO, err, raw: bool
+) -> int:
+    """The path both modes share. Transport errors (OSError) propagate."""
+    name = tokens[0].lower()
+    if name in HELPER_NAMES:
+        return _run_helper(conn, name, tokens[1:], out, err, raw)
+    if name == b"subscribe":
+        _subscribe(conn, tokens, out, raw)
+    else:
+        out.write(render(conn.execute(*tokens), raw))
+        out.flush()
     return 0
 
 
-def _run_subscribe(conn: Connection, tokens: list[bytes], out: BinaryIO, raw: bool) -> int:
+def _subscribe(conn: Connection, tokens: list[bytes], out: BinaryIO, raw: bool) -> None:
+    """Stream frames until Ctrl-C, then leave every channel."""
     conn.send_command(*tokens)
     try:
         pump_subscription(conn, out, raw)
     except KeyboardInterrupt:
+        out.write(b"\n")
+    conn.send_command(b"UNSUBSCRIBE")
+    conn.settimeout(2.0)
+    try:
+        while True:
+            frame = conn.read_reply()
+            if (
+                isinstance(frame, Array)
+                and frame.items
+                and frame.items[0] == BulkString(b"unsubscribe")
+                and isinstance(frame.items[2], Integer)
+                and frame.items[2].value == 0
+            ):
+                break
+    except OSError:
         pass
-    return 0
+    finally:
+        conn.settimeout(None)
 
 
 def pump_subscription(
@@ -311,45 +333,11 @@ def repl(conn: Connection, stdin, out: BinaryIO, raw: bool = False) -> int:
         word = tokens[0].lower()
         if word in (b"exit", b"quit"):
             return 0
-        if word in HELPER_NAMES:
-            _run_helper(conn, word, tokens[1:], out, sys.stderr, raw)
-            continue
         try:
-            if word == b"subscribe":
-                _repl_subscribe(conn, tokens, out, raw)
-                continue
-            reply = conn.execute(*tokens)
-        except (ConnectionError, OSError) as exc:
+            _run_command(conn, tokens, out, sys.stderr, raw)
+        except OSError as exc:
             out.write(f"Connection lost: {exc}\n".encode())
             return 1
-        out.write(render(reply, raw))
-        out.flush()
-
-
-def _repl_subscribe(conn: Connection, tokens: list[bytes], out: BinaryIO, raw: bool) -> None:
-    """Stream frames until Ctrl-C, then leave every channel and go back."""
-    conn.send_command(*tokens)
-    try:
-        pump_subscription(conn, out, raw)
-    except KeyboardInterrupt:
-        out.write(b"\n")
-    conn.send_command(b"UNSUBSCRIBE")
-    conn.settimeout(2.0)
-    try:
-        while True:
-            frame = conn.read_reply()
-            if (
-                isinstance(frame, Array)
-                and frame.items
-                and frame.items[0] == BulkString(b"unsubscribe")
-                and isinstance(frame.items[2], Integer)
-                and frame.items[2].value == 0
-            ):
-                break
-    except (socket.timeout, ConnectionError, OSError):
-        pass
-    finally:
-        conn.settimeout(None)
 
 
 if __name__ == "__main__":

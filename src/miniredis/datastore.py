@@ -48,8 +48,13 @@ def parse_float(raw: bytes, message: str) -> float:
 
 
 def parse_score(raw: bytes) -> float:
-    """Sorted-set score parser: any finite or infinite float, never NaN."""
-    return parse_float(raw, "ERR value is not a valid float")
+    """Sorted-set score parser: any finite float or infinity literal, never
+    NaN. A finite literal too large for a double (``1e400``) is refused, as
+    Redis's ``string2d`` refuses strtod's ERANGE."""
+    value = parse_float(raw, "ERR value is not a valid float")
+    if math.isinf(value) and raw.lstrip(b"+-").lower() not in (b"inf", b"infinity"):
+        raise CommandError("ERR value is not a valid float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -223,6 +228,15 @@ class KeyStore:
             raise WrongTypeError()
         return value
 
+    def _obtain(self, key: bytes, family: type):
+        """The ``family`` value at ``key``, stored empty first if absent."""
+        value = self._data.get(key)
+        if value is None:
+            value = self._data[key] = family()
+        elif not isinstance(value, family):
+            raise WrongTypeError()
+        return value
+
     def _drop_if_empty(self, key: bytes, value) -> None:
         if not value:
             del self._data[key]
@@ -239,10 +253,7 @@ class KeyStore:
     # -- hashes ----------------------------------------------------------
 
     def hset(self, key: bytes, field: bytes, value: bytes) -> int:
-        table = self._lookup(key, dict)
-        if table is None:
-            table = {}
-            self._data[key] = table
+        table = self._obtain(key, dict)
         created = field not in table
         table[field] = bytes(value)
         return int(created)
@@ -271,10 +282,7 @@ class KeyStore:
     # -- sets ------------------------------------------------------------
 
     def sadd(self, key: bytes, *members: bytes) -> int:
-        group = self._lookup(key, set)
-        if group is None:
-            group = set()
-            self._data[key] = group
+        group = self._obtain(key, set)
         before = len(group)
         group.update(members)
         return len(group) - before
@@ -308,10 +316,7 @@ class KeyStore:
     # -- lists -----------------------------------------------------------
 
     def lpush(self, key: bytes, *values: bytes) -> int:
-        items = self._lookup(key, deque)
-        if items is None:
-            items = deque()
-            self._data[key] = items
+        items = self._obtain(key, deque)
         # Each value in turn becomes the new head, so the last one wins.
         items.extendleft(bytes(v) for v in values)
         return len(items)
@@ -347,10 +352,7 @@ class KeyStore:
     # -- sorted sets -----------------------------------------------------
 
     def zadd(self, key: bytes, pairs: Sequence[tuple[float, bytes]]) -> int:
-        zset = self._lookup(key, SortedSet)
-        if zset is None:
-            zset = SortedSet()
-            self._data[key] = zset
+        zset = self._obtain(key, SortedSet)
         added = 0
         for score, member in pairs:
             if zset.add(score, member):

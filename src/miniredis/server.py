@@ -48,7 +48,6 @@ class ServerConfig:
     output_queue_limit: int = 32 * 1024 * 1024
     max_bulk_length: int = 512 * 1024 * 1024
     max_array_length: int = 1024 * 1024
-    max_depth: int = 32
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -58,12 +57,7 @@ class ServerConfig:
         if self.loglevel not in LOG_LEVELS:
             allowed = ", ".join(sorted(LOG_LEVELS))
             raise ValueError(f"unknown loglevel {self.loglevel!r} (use one of {allowed})")
-        for name in (
-            "output_queue_limit",
-            "max_bulk_length",
-            "max_array_length",
-            "max_depth",
-        ):
+        for name in ("output_queue_limit", "max_bulk_length", "max_array_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -71,7 +65,6 @@ class ServerConfig:
         return DecodeLimits(
             max_bulk_length=self.max_bulk_length,
             max_array_length=self.max_array_length,
-            max_depth=self.max_depth,
         )
 
 
@@ -121,14 +114,9 @@ class Session:
     _ids = itertools.count(1)
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        limits: DecodeLimits,
-        queue_limit: int,
+        self, writer: asyncio.StreamWriter, limits: DecodeLimits, queue_limit: int
     ):
         self.id = next(self._ids)
-        self.reader = reader
         self.writer = writer
         self.peer = writer.get_extra_info("peername")
         self.decoder = RequestDecoder(limits)
@@ -169,10 +157,8 @@ class Server:
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self.router = Router()
-        self.store = self.router.store
-        self.broker = self.router.broker
-        self._sessions: set[Session] = set()
-        self._handlers: set[asyncio.Task] = set()
+        # Each live session and the task running its connection handler.
+        self._sessions: dict[Session, asyncio.Task] = {}
         self._listener: asyncio.base_events.Server | None = None
 
     @property
@@ -182,19 +168,11 @@ class Server:
         sockname = self._listener.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    @property
-    def client_count(self) -> int:
-        return len(self._sessions)
-
     async def start(self) -> None:
         self._listener = await asyncio.start_server(
             self._on_client, self.config.bind, self.config.port
         )
         log.info("listening on %s:%d", *self.address)
-
-    async def serve_forever(self) -> None:
-        assert self._listener is not None, "call start() first"
-        await self._listener.serve_forever()
 
     async def stop(self) -> None:
         """Stop accepting, flush queued replies, close every session."""
@@ -202,14 +180,13 @@ class Server:
             self._listener.close()
             await self._listener.wait_closed()
             self._listener = None
-        for session in list(self._sessions):
+        for session in self._sessions:
             session.request_close()
-        if self._handlers:
-            done, pending = await asyncio.wait(list(self._handlers), timeout=5)
+        if self._sessions:
+            _, pending = await asyncio.wait(list(self._sessions.values()), timeout=5)
             for task in pending:
                 task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            await asyncio.gather(*pending, return_exceptions=True)
         log.info("server stopped")
 
     async def _on_client(
@@ -224,31 +201,27 @@ class Server:
             writer.close()
             return
         session = Session(
-            reader, writer, self.config.decode_limits(), self.config.output_queue_limit
+            writer, self.config.decode_limits(), self.config.output_queue_limit
         )
-        self._sessions.add(session)
-        task = asyncio.current_task()
-        assert task is not None
-        self._handlers.add(task)
+        self._sessions[session] = asyncio.current_task()
         log.info("session %d connected from %s", session.id, session.peer)
         writer_task = asyncio.create_task(self._writer_loop(session))
         try:
-            await self._reader_loop(session)
+            await self._reader_loop(session, reader)
         finally:
-            self.broker.drop_session(session)
+            self.router.broker.drop_session(session)
             session.request_close()
             try:
                 await writer_task
             except asyncio.CancelledError:
                 pass
-            self._sessions.discard(session)
-            self._handlers.discard(task)
+            del self._sessions[session]
             log.info("session %d closed", session.id)
 
-    async def _reader_loop(self, session: Session) -> None:
+    async def _reader_loop(self, session: Session, reader: asyncio.StreamReader) -> None:
         while not session.closing:
             try:
-                data = await session.reader.read(65536)
+                data = await reader.read(65536)
             except (ConnectionError, OSError):
                 return
             if not data:

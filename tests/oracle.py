@@ -8,6 +8,7 @@ the reply value types, so a bug has to be made twice to hide.
 
 from __future__ import annotations
 
+import math
 import re
 
 from miniredis.protocol import Array, BulkString, Error, Integer, SimpleString
@@ -21,6 +22,7 @@ _FLOAT_RE = re.compile(
     rb"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity)",
     re.IGNORECASE,
 )
+_INFINITY_RE = re.compile(rb"[+-]?inf(?:inity)?", re.IGNORECASE)
 
 # (min, max) argument counts, command name excluded; None means variadic.
 _ARITY = {
@@ -227,9 +229,11 @@ class Oracle:
             raise Wrong("ERR syntax error")
         pairs = []
         for i in range(1, len(args), 2):
-            pairs.append(
-                (self._float(args[i], "ERR value is not a valid float"), args[i + 1])
-            )
+            score = self._float(args[i], "ERR value is not a valid float")
+            # A score may be infinite only when spelled so: 1e400 overflows.
+            if math.isinf(score) and not _INFINITY_RE.fullmatch(args[i]):
+                raise Wrong("ERR value is not a valid float")
+            pairs.append((score, args[i + 1]))
         scores = self._value(args[0], "zset")
         if scores is None:
             scores = {}

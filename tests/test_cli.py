@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from miniredis import cli
 from miniredis.cli import (
     build_parser,
     main,
@@ -220,6 +221,17 @@ def test_pump_subscription_streams_frames(server, conn):
     assert lines[6:9] == [b"message", b"ch1", b"y"]
 
 
+def test_one_shot_subscribe_leaves_channels_after_ctrl_c(server, conn, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "pump_subscription", interrupted)
+    assert run(conn, "SUBSCRIBE", "ch")[0] == 0
+    # conn is still open, but no longer subscribed to anything.
+    with Connection(server.host, server.port) as publisher:
+        assert publisher.execute("PUBLISH", "ch", "x") == Integer(0)
+
+
 # -- REPL ------------------------------------------------------------------
 
 
@@ -264,3 +276,10 @@ def test_repl_matrix_helpers(conn):
     out = repl_session(conn, "zadd-matrix z 1,2\nzrange-matrix z 0 5\nexit\n")
     assert b"(integer) 1\n" in out
     assert b"1 2\n" in out
+
+
+def test_repl_reports_lost_connection(conn):
+    conn.close()
+    out = io.BytesIO()
+    assert repl(conn, io.StringIO("PING\n"), out) == 1
+    assert b"Connection lost: " in out.getvalue()

@@ -289,7 +289,11 @@ def test_parse_score_rejects_nan_and_garbage():
     assert parse_score(b"1.5") == 1.5
     assert parse_score(b"inf") == float("inf")
     assert parse_score(b"-inf") == float("-inf")
-    for raw in (b"nan", b"NaN", b"abc", b"", b"\xff", b" 1", b"1 ", b"1_0"):
+    assert parse_score(b"Infinity") == float("inf")
+    assert parse_score(b"1.7976931348623157e308") == 1.7976931348623157e308
+    # Finite literals that overflow a double are refused, not stored as inf.
+    for raw in (b"nan", b"NaN", b"abc", b"", b"\xff", b" 1", b"1 ", b"1_0",
+                b"1e400", b"-1e400", b"1.8e308"):
         with pytest.raises(CommandError) as excinfo:
             parse_score(raw)
         assert excinfo.value.message == "ERR value is not a valid float"
@@ -300,6 +304,8 @@ def test_range_bound_parse():
     assert RangeBound.parse(b"(100") == RangeBound(100.0, True)
     assert RangeBound.parse(b"-inf") == RangeBound(float("-inf"), False)
     assert RangeBound.parse(b"(+inf") == RangeBound(float("inf"), True)
+    # Range bounds go through plain strtod in Redis, so overflow is +inf.
+    assert RangeBound.parse(b"1e400") == RangeBound(float("inf"), False)
     for raw in (b"nan", b"(nan", b"abc", b"(", b"", b"(1_0", b"( 1"):
         with pytest.raises(CommandError) as excinfo:
             RangeBound.parse(raw)

@@ -13,6 +13,7 @@ from model_harness import describe_failure, first_mismatch, gen_sequence
 from oracle import Oracle, replies_equal
 
 from miniredis.datastore import SortedSet
+from miniredis.protocol import Array, BulkString, Error, Integer
 from miniredis.router import LocalSession, Router
 
 
@@ -30,12 +31,42 @@ def test_shrinker_reduces_a_planted_divergence():
     assert first_mismatch(commands) is None
 
 
+@pytest.mark.parametrize(
+    "score,accepted",
+    [
+        (b"1e400", False),
+        (b"-1e400", False),
+        (b"1.8e308", False),
+        (b"inf", True),
+        (b"-inf", True),
+        (b"infinity", True),
+        (b"1.7976931348623157e308", True),
+    ],
+)
+def test_zadd_score_overflow_in_engine_and_oracle(score, accepted):
+    argv = [b"ZADD", b"z", score, b"m"]
+    expected = Integer(1) if accepted else Error("ERR value is not a valid float")
+    assert Router().dispatch(LocalSession(), argv) == [expected]
+    assert Oracle().apply(argv) == expected
+
+
+def test_zrangebyscore_overflowing_bound_is_infinity():
+    router, session, oracle = Router(), LocalSession(), Oracle()
+    zadd = [b"ZADD", b"z", b"inf", b"m"]
+    router.dispatch(session, zadd)
+    oracle.apply(zadd)
+    query = [b"ZRANGEBYSCORE", b"z", b"1e400", b"+inf"]
+    expected = Array((BulkString(b"m"),))
+    assert router.dispatch(session, query) == [expected]
+    assert oracle.apply(query) == expected
+
+
 _keys = st.sampled_from([b"k%d" % i for i in range(6)])
 _values = st.one_of(st.sampled_from([b"a", b"bb", b"\x00\xff"]), st.binary(max_size=5))
 _fields = st.sampled_from([b"f0", b"f1", b"f2"])
 _members = st.one_of(st.sampled_from([b"m0", b"m1", b"m2"]), st.binary(max_size=4))
 _scores = st.one_of(
-    st.sampled_from([b"-inf", b"+inf", b"0", b"1", b"2.5"]),
+    st.sampled_from([b"-inf", b"+inf", b"0", b"1", b"2.5", b"1e400"]),
     st.floats(allow_nan=False, width=64).map(lambda f: repr(f).encode()),
 )
 _ints = st.integers(-20, 20).map(lambda i: b"%d" % i)

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import queue
+import re
+import signal
 import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import miniredis
 from miniredis.client import Connection
 from miniredis.server import (
     ServerConfig,
@@ -294,8 +303,9 @@ def test_build_config_flags_beat_file(tmp_path):
 
 
 def test_build_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown configuration key"):
-        build_config({"bogus": "1"})
+    for key in ("bogus", "max-depth"):
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            build_config({key: "4"})
 
 
 def test_build_config_rejects_non_integer():
@@ -311,7 +321,6 @@ def test_build_config_rejects_non_integer():
         {"port": 65536},
         {"maxclients": 0},
         {"loglevel": "chatty"},
-        {"max_depth": 0},
     ],
 )
 def test_server_config_validation(kwargs):
@@ -334,3 +343,53 @@ def test_main_rejects_bad_config(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("port notanumber\n")
     assert main(["--config", str(path)]) == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGTERM") or sys.platform == "win32",
+    reason="needs SIGTERM and loop.add_signal_handler",
+)
+def test_server_binary_stops_cleanly_on_sigterm():
+    src = str(Path(miniredis.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    command = [sys.executable, "-m", "miniredis.server", "--port", "0", "--loglevel", "verbose"]
+    log_lines: queue.Queue[str | None] = queue.Queue()
+    seen: list[str] = []
+    with subprocess.Popen(
+        command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, text=True
+    ) as proc:
+
+        def pump_log() -> None:
+            for line in proc.stderr:
+                log_lines.put(line)
+            log_lines.put(None)
+
+        pump = threading.Thread(target=pump_log, daemon=True)
+        pump.start()
+
+        def next_line() -> str | None:
+            line = log_lines.get(timeout=10)
+            if line is not None:
+                seen.append(line)
+            return line
+
+        try:
+            address = None
+            while address is None:
+                line = next_line()
+                assert line is not None, "server exited early:\n" + "".join(seen)
+                address = re.search(r"listening on (\S+):(\d+)", line)
+            host, port = address.group(1), int(address.group(2))
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(b"*1\r\n$4\r\nPING\r\n")
+                assert recv_exactly(sock, 7) == b"+PONG\r\n"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
+            while next_line() is not None:
+                pass
+            assert any("server stopped" in line for line in seen), "".join(seen)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            pump.join(timeout=10)
