@@ -33,13 +33,15 @@ def parse_int(raw: bytes) -> int:
 
 
 def parse_float(raw: bytes, message: str) -> float:
-    """Redis float syntax: what ``float`` takes, minus NaN, ``_`` and
-    leading or trailing whitespace (Redis's ``strtod`` checks refuse them).
-    Infinities and exponents pass. Raises CommandError(message) otherwise."""
+    """Redis float syntax: what ``float`` takes plus hex floats (``0x10``,
+    ``-0x1.8p3``, as ``strtod`` reads them), minus NaN, ``_`` and leading or
+    trailing whitespace (Redis's ``strtod`` checks refuse them). Infinities
+    and exponents pass; a hex float too large for a double reads as an
+    infinity, as a decimal one does. Raises CommandError(message) otherwise."""
     try:
         value = float(raw)
     except ValueError:
-        raise CommandError(message) from None
+        value = _hex_float(raw, message)
     # float() refused every other control byte, so an end byte at or below
     # b" " is whitespace. (An int needle keeps `in` off its slow path.)
     if math.isnan(value) or raw[0] <= 32 or raw[-1] <= 32 or _UNDERSCORE in raw:
@@ -47,13 +49,35 @@ def parse_float(raw: bytes, message: str) -> float:
     return value
 
 
+def _hex_float(raw: bytes, message: str) -> float:
+    text = raw.decode("latin-1")
+    # Only after a 0x prefix: float.fromhex("10") would read 16.
+    if text.lstrip("+-")[:2].lower() != "0x":
+        raise CommandError(message)
+    try:
+        return float.fromhex(text)
+    except ValueError:
+        raise CommandError(message) from None
+    except OverflowError:
+        return -math.inf if text.startswith("-") else math.inf
+
+
 def parse_score(raw: bytes) -> float:
     """Sorted-set score parser: any finite float or infinity literal, never
-    NaN. A finite literal too large for a double (``1e400``) is refused, as
-    Redis's ``string2d`` refuses strtod's ERANGE."""
+    NaN. As Redis's ``string2d`` refuses strtod's ERANGE, a finite literal
+    too large for a double (``1e400``) is refused, and so is a nonzero one
+    that reads as zero (``1e-400``)."""
     value = parse_float(raw, "ERR value is not a valid float")
     if math.isinf(value) and raw.lstrip(b"+-").lower() not in (b"inf", b"infinity"):
         raise CommandError("ERR value is not a valid float")
+    if not value:
+        text = raw.lstrip(b"+-").lower()
+        if text.startswith(b"0x"):
+            mantissa = text[2:].partition(b"p")[0]
+        else:
+            mantissa = text.partition(b"e")[0]
+        if mantissa.strip(b"0."):
+            raise CommandError("ERR value is not a valid float")
     return value
 
 

@@ -14,12 +14,22 @@ not depend on where the chunk boundaries fall. A partly received frame is
 kept between feeds as decoded state (open arrays, the argv under
 construction, the awaited bulk length), so no byte is parsed twice and a
 frame costs time linear in its size however finely it arrives.
+
+Both decoders are one resumable state machine that owns every check, error
+text, limit and offset. Inside an open array it hands over to one tight
+loop, ``_Decoder._bulk_items``, which takes consecutive bulk strings that
+are already complete and plainly well formed straight out of the buffer.
+That loop never raises: at anything else (a cut or unusual header, another
+type byte, a bad terminator, a length over the limit) it stops, and the
+state machine resumes at the same byte. Array replies of raw members
+(``MemberArray``) are framed like commands, with no value per member.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InlineCommandError, ProtocolError
 
@@ -29,6 +39,8 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 _INTEGER_RE = re.compile(rb"[+-]?[0-9]+")
+# A bulk header the bulk-item loop takes: plain digits, too few to overflow.
+_BULK_HEADER = re.compile(rb"\$([0-9]{1,18})\r\n").match
 
 
 def strict_int(raw: bytes | bytearray) -> int | None:
@@ -74,6 +86,29 @@ class Array:
             object.__setattr__(self, "items", tuple(self.items))
 
 
+class MemberArray(Array):
+    """An array reply of bulk strings, held as the raw member bytes.
+
+    The encoder frames it as commands are framed (``encode_command``) and
+    never wraps a member; ``items`` builds the BulkString form on demand,
+    and the value compares equal to an Array of those BulkStrings.
+    """
+
+    def __init__(self, members: tuple[bytes, ...]):
+        object.__setattr__(self, "members", members)
+
+    @property
+    def items(self) -> tuple[BulkString, ...]:
+        return tuple(map(BulkString, self.members))
+
+    def __eq__(self, other):
+        if isinstance(other, Array):
+            return self.items == other.items
+        return NotImplemented
+
+    __hash__ = Array.__hash__
+
+
 ProtocolValue = SimpleString | Error | Integer | BulkString | Array
 
 OK = SimpleString("OK")
@@ -96,21 +131,31 @@ DEFAULT_LIMITS = DecodeLimits()
 
 
 def encode(value: ProtocolValue) -> bytes:
-    """Serialize one value to its exact wire form."""
-    out = bytearray()
-    _encode_into(value, out)
-    return bytes(out)
-
-
-def encode_command(argv: list[bytes]) -> bytes:
-    """The array-of-bulk-strings frame of one command, joined once."""
-    parts = [b"*%d\r\n" % len(argv)]
-    for arg in argv:
-        parts += (b"$%d\r\n" % len(arg), arg, CRLF)
+    """Serialize one value to its exact wire form, joined once."""
+    parts: list[bytes | bytearray] = []
+    _encode_into(value, parts)
     return b"".join(parts)
 
 
-def _encode_into(value: ProtocolValue, out: bytearray) -> None:
+# Headers of short bulk strings, built once, so framing an array of short
+# members allocates nothing per member.
+_SHORT_BULK_HEADERS = tuple(b"$%d\r\n" % size for size in range(256))
+
+
+def encode_command(argv: Sequence[bytes]) -> bytearray:
+    """The array-of-bulk-strings frame of a command or member reply, built
+    in one buffer (a list of parts would hold three entries per member)."""
+    out = bytearray(b"*%d\r\n" % len(argv))
+    headers = _SHORT_BULK_HEADERS
+    for arg in argv:
+        size = len(arg)
+        out += headers[size] if size < 256 else b"$%d\r\n" % size
+        out += arg
+        out += CRLF
+    return out
+
+
+def _encode_into(value: ProtocolValue, out: list[bytes | bytearray]) -> None:
     if isinstance(value, SimpleString):
         _append_line(out, b"+", value.text)
     elif isinstance(value, Error):
@@ -118,31 +163,29 @@ def _encode_into(value: ProtocolValue, out: bytearray) -> None:
     elif isinstance(value, Integer):
         if not INT64_MIN <= value.value <= INT64_MAX:
             raise ValueError(f"integer reply out of 64-bit range: {value.value}")
-        out += b":%d\r\n" % value.value
+        out.append(b":%d\r\n" % value.value)
     elif isinstance(value, BulkString):
         if value.payload is None:
-            out += b"$-1\r\n"
+            out.append(b"$-1\r\n")
         else:
-            out += b"$%d\r\n" % len(value.payload)
-            out += value.payload
-            out += CRLF
+            out += (b"$%d\r\n" % len(value.payload), value.payload, CRLF)
+    elif type(value) is MemberArray:
+        out.append(encode_command(value.members))
     elif isinstance(value, Array):
         if value.items is None:
-            out += b"*-1\r\n"
+            out.append(b"*-1\r\n")
         else:
-            out += b"*%d\r\n" % len(value.items)
+            out.append(b"*%d\r\n" % len(value.items))
             for item in value.items:
                 _encode_into(item, out)
     else:
         raise TypeError(f"not a protocol value: {value!r}")
 
 
-def _append_line(out: bytearray, marker: bytes, text: str) -> None:
+def _append_line(out: list[bytes | bytearray], marker: bytes, text: str) -> None:
     if "\r" in text or "\n" in text:
         raise ValueError("line reply may not contain CR or LF")
-    out += marker
-    out += text.encode("utf-8")
-    out += CRLF
+    out += (marker, text.encode("utf-8"), CRLF)
 
 
 def _header_int(line: bytearray, offset: int, what: str) -> int:
@@ -201,7 +244,8 @@ class _Decoder:
         buf = self._buf
         end = buf.find(CRLF, start + self._scanned)
         if end < 0:
-            if len(buf) - start > self._limits.max_line_length:
+            # A trailing CR may begin the CRLF, so it is not counted yet.
+            if len(buf) - start - buf.endswith(b"\r") > self._limits.max_line_length:
                 raise ProtocolError("line exceeds maximum length", self._base + start)
             self._scanned = max(len(buf) - start - 1, 0)
             return None
@@ -219,6 +263,40 @@ class _Decoder:
             raise ProtocolError("bulk string missing trailing CRLF", self._base + end)
         self._bulk = -1
         return bytes(view[pos:end])
+
+    def _bulk_items(
+        self, buf: bytearray, view: memoryview, pos: int, items: list, count: int
+    ) -> int:
+        """Append the bodies of the complete ``$<digits>\r\n<body>\r\n``
+        items at ``pos`` until ``items`` holds ``count``; return the offset
+        after the last one taken.
+
+        Stops without raising at anything else: a cut header or body,
+        another type byte, a header that is not 1 to 18 plain digits or is
+        longer than ``max_line_length``, a missing trailing CRLF, a length
+        over ``max_bulk_length``. The state machine then resumes at that
+        byte and alone raises. Called only right after a header or value
+        completed, so no half-searched line (``_scanned``) is pending.
+        """
+        max_bulk = self._limits.max_bulk_length
+        max_digits = self._limits.max_line_length
+        header, append = _BULK_HEADER, items.append
+        for _ in range(count - len(items)):
+            match = header(buf, pos)
+            if match is None:
+                break
+            start = match.end()
+            length = int(match[1])
+            end = start + length
+            if (
+                length > max_bulk
+                or start - pos - 3 > max_digits
+                or buf[end : end + 2] != CRLF
+            ):
+                break
+            append(view[start:end].tobytes())
+            pos = end + 2
+        return pos
 
 
 _MARKERS = b"+-:$*"
@@ -310,7 +388,11 @@ class StreamDecoder(_Decoder):
                 items, count = stack[-1]
                 items.append(value)
                 if len(items) < count:
-                    break
+                    taken = len(items)
+                    pos = self._bulk_items(buf, view, pos, items, count)
+                    items[taken:] = map(BulkString, items[taken:])
+                    if len(items) < count:
+                        break
                 stack.pop()
                 value = Array(tuple(items))
             else:
@@ -361,9 +443,6 @@ class RequestDecoder(_Decoder):
                     break
                 argv.append(body)
                 pos += len(body) + 2
-                if len(argv) == self._count:
-                    out.append(argv)
-                    argv = self._argv = None
             elif argv is not None:
                 if buf[pos] != 0x24:  # $
                     raise ProtocolError(
@@ -376,6 +455,7 @@ class RequestDecoder(_Decoder):
                 if length < 0 or length > limits.max_bulk_length:
                     raise ProtocolError("invalid bulk length", base + pos)
                 pos, self._bulk = found[1], length
+                continue
             elif buf[pos] == 0x2A:  # *
                 found = self._line(pos + 1)
                 if found is None:
@@ -384,14 +464,16 @@ class RequestDecoder(_Decoder):
                 if count < 0 or count > limits.max_array_length:
                     raise ProtocolError("invalid multibulk length", base + pos)
                 pos = found[1]
-                if count:
-                    argv = self._argv = []
-                    self._count = count
+                if not count:
+                    continue
+                argv = self._argv = []
+                self._count = count
             else:
                 nl = buf.find(b"\n", pos + self._scanned)
+                # Refused by length alone, whether or not the newline is here.
+                if (n if nl < 0 else nl) - pos > limits.max_line_length:
+                    raise ProtocolError("too big inline request", base + pos)
                 if nl < 0:
-                    if n - pos > limits.max_line_length:
-                        raise ProtocolError("too big inline request", base + pos)
                     self._scanned = n - pos
                     break
                 self._scanned = 0
@@ -406,6 +488,12 @@ class RequestDecoder(_Decoder):
                     continue
                 if tokens:
                     out.append(tokens)
+                continue
+            # An argv is open and its last item, if any, complete.
+            pos = self._bulk_items(buf, view, pos, argv, self._count)
+            if len(argv) == self._count:
+                out.append(argv)
+                argv = self._argv = None
         return pos
 
 

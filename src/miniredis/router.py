@@ -29,6 +29,7 @@ from .protocol import (
     BulkString,
     Error,
     Integer,
+    MemberArray,
     ProtocolValue,
     tokenize_inline,
 )
@@ -175,7 +176,7 @@ def _command(session, args):
 
 
 def _bulk_array(items: Iterable[bytes]) -> Array:
-    return Array(tuple(BulkString(item) for item in items))
+    return MemberArray(tuple(items))
 
 
 def _member_array(members: set[bytes]) -> Array:

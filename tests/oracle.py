@@ -16,10 +16,14 @@ from miniredis.protocol import Array, BulkString, Error, Integer, SimpleString
 WRONGTYPE = "WRONGTYPE Operation against a key holding the wrong kind of value"
 
 _INT_RE = re.compile(rb"[+-]?[0-9]+")
-# Redis float syntax: decimal or exponent forms and infinities; no NaN, no
-# surrounding whitespace, no '_' digit separators.
+# Redis float syntax (strtod's): decimal or exponent forms, hex floats with
+# an optional binary exponent, and infinities; no NaN, no surrounding
+# whitespace, no '_' digit separators. `mantissa` is the digits before any
+# exponent, which tells a literal that underflows from a spelled zero.
 _FLOAT_RE = re.compile(
-    rb"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity)",
+    rb"[+-]?(?:(?P<mantissa>[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+    rb"|0x(?P<hex>[0-9a-f]+\.?[0-9a-f]*|\.[0-9a-f]+)(?:p[+-]?[0-9]+)?"
+    rb"|inf|infinity)",
     re.IGNORECASE,
 )
 _INFINITY_RE = re.compile(rb"[+-]?inf(?:inity)?", re.IGNORECASE)
@@ -96,9 +100,27 @@ class Oracle:
         return int(raw)
 
     def _float(self, raw: bytes, message: str) -> float:
-        if not _FLOAT_RE.fullmatch(raw):
+        match = _FLOAT_RE.fullmatch(raw)
+        if not match:
             raise Wrong(message)
-        return float(raw)
+        if match["hex"] is None:
+            return float(raw)
+        try:
+            return float.fromhex(raw.decode("ascii"))
+        except OverflowError:
+            return -math.inf if raw.startswith(b"-") else math.inf
+
+    def _score(self, raw: bytes) -> float:
+        score = self._float(raw, "ERR value is not a valid float")
+        # strtod's ERANGE is an error for a score: a literal that overflows
+        # (1e400) or a nonzero one that underflows to zero (1e-400).
+        if math.isinf(score) and not _INFINITY_RE.fullmatch(raw):
+            raise Wrong("ERR value is not a valid float")
+        match = _FLOAT_RE.fullmatch(raw)
+        digits = match["mantissa"] or match["hex"] or b""
+        if score == 0 and any(ch not in b"0." for ch in digits):
+            raise Wrong("ERR value is not a valid float")
+        return score
 
     # -- commands -----------------------------------------------------------
 
@@ -229,11 +251,7 @@ class Oracle:
             raise Wrong("ERR syntax error")
         pairs = []
         for i in range(1, len(args), 2):
-            score = self._float(args[i], "ERR value is not a valid float")
-            # A score may be infinite only when spelled so: 1e400 overflows.
-            if math.isinf(score) and not _INFINITY_RE.fullmatch(args[i]):
-                raise Wrong("ERR value is not a valid float")
-            pairs.append((score, args[i + 1]))
+            pairs.append((self._score(args[i]), args[i + 1]))
         scores = self._value(args[0], "zset")
         if scores is None:
             scores = {}

@@ -161,6 +161,25 @@ def test_zadd_matrix_and_range_roundtrip(conn):
     assert rows == [[100.0, 1.0, 2.0, 3.0], [105.0, 2.0, 2.0, 4.0]]
 
 
+def test_zrange_matrix_reply_is_an_array_of_bulk_strings(conn, monkeypatch):
+    # The server frames member arrays without wrapping each member; the
+    # client must still decode the plain Array-of-BulkString form.
+    rows = [[float(i), float(i) * 2] for i in range(300)]
+    zadd_matrix(conn, "z", rows)
+    replies = []
+    call = conn.call
+
+    def recording_call(*args):
+        replies.append(call(*args))
+        return replies[-1]
+
+    monkeypatch.setattr(conn, "call", recording_call)
+    assert zrangebyscore_matrix(conn, "z", "-inf", "+inf") == rows
+    (reply,) = replies
+    assert type(reply) is Array and len(reply.items) == 300
+    assert all(type(item) is BulkString for item in reply.items)
+
+
 def test_zadd_matrix_readd_counts_zero(conn):
     row = [100.0, 1.0, 2.0, 3.0]
     assert zadd_matrix(conn, "z", [row]) == 1

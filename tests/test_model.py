@@ -41,6 +41,21 @@ def test_shrinker_reduces_a_planted_divergence():
         (b"-inf", True),
         (b"infinity", True),
         (b"1.7976931348623157e308", True),
+        # strtod's underflow to zero is ERANGE too; a spelled zero is not.
+        (b"1e-400", False),
+        (b"-1e-400", False),
+        (b"0.00001e-320", False),
+        (b"0x1p-1080", False),
+        (b"0e-400", True),
+        (b"-0.0e-999", True),
+        (b"5e-324", True),
+        # Hex floats, as strtod reads them; a hex overflow is refused too.
+        (b"0x10", True),
+        (b"-0X1.8P1", True),
+        (b"0x.8", True),
+        (b"0x1p5000", False),
+        (b"0x", False),
+        (b"0x1p", False),
     ],
 )
 def test_zadd_score_overflow_in_engine_and_oracle(score, accepted):
@@ -61,13 +76,39 @@ def test_zrangebyscore_overflowing_bound_is_infinity():
     assert oracle.apply(query) == expected
 
 
+@pytest.mark.parametrize(
+    "low,high,members",
+    [
+        # A bound that underflows reads as 0, as zslParseRange's strtod does.
+        (b"1e-400", b"+inf", [b"zero", b"sixteen"]),
+        (b"(1e-400", b"+inf", [b"sixteen"]),
+        (b"0x10", b"0x10", [b"sixteen"]),
+        (b"-0x1p5000", b"(0x1.0p4", [b"zero"]),
+    ],
+)
+def test_zrangebyscore_hex_and_underflowing_bounds(low, high, members):
+    router, session, oracle = Router(), LocalSession(), Oracle()
+    zadd = [b"ZADD", b"z", b"0", b"zero", b"16", b"sixteen"]
+    router.dispatch(session, zadd)
+    oracle.apply(zadd)
+    query = [b"ZRANGEBYSCORE", b"z", low, high]
+    expected = Array(tuple(BulkString(m) for m in members))
+    assert router.dispatch(session, query) == [expected]
+    assert oracle.apply(query) == expected
+
+
 _keys = st.sampled_from([b"k%d" % i for i in range(6)])
 _values = st.one_of(st.sampled_from([b"a", b"bb", b"\x00\xff"]), st.binary(max_size=5))
 _fields = st.sampled_from([b"f0", b"f1", b"f2"])
 _members = st.one_of(st.sampled_from([b"m0", b"m1", b"m2"]), st.binary(max_size=4))
 _scores = st.one_of(
-    st.sampled_from([b"-inf", b"+inf", b"0", b"1", b"2.5", b"1e400"]),
+    st.sampled_from(
+        [b"-inf", b"+inf", b"0", b"1", b"2.5", b"1e400", b"1e-400", b"0x10", b"0x1p-1080"]
+    ),
     st.floats(allow_nan=False, width=64).map(lambda f: repr(f).encode()),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(
+        lambda f: f.hex().encode()
+    ),
 )
 _ints = st.integers(-20, 20).map(lambda i: b"%d" % i)
 

@@ -21,6 +21,7 @@ from miniredis.protocol import (
     DecodeLimits,
     Error,
     Integer,
+    MemberArray,
     RequestDecoder,
     SimpleString,
     StreamDecoder,
@@ -330,6 +331,24 @@ def test_request_errors_carry_absolute_offsets(wire, offset, reason):
         assert reason in error.reason
 
 
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "byte-by-byte"])
+def test_long_inline_line_is_refused_however_it_is_cut(whole):
+    wire = b"SET k " + b"x" * 200 + b"\n"
+    error = _feed_until_error(RequestDecoder(DecodeLimits(max_line_length=64)), wire, whole)
+    assert (error.reason, error.offset) == ("too big inline request", 0)
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_header_of_exactly_max_line_length_is_accepted_however_it_is_cut(cls):
+    # The CR of the terminating CRLF is not part of the line: a header
+    # arriving byte by byte must not be refused while only its CR is here.
+    wire = b"*1\r\n$0004\r\nPING\r\n" if cls is RequestDecoder else b":1234\r\n"
+    whole = cls(DecodeLimits(max_line_length=4)).feed(wire)
+    decoder = cls(DecodeLimits(max_line_length=4))
+    assert [item for i in range(len(wire)) for item in decoder.feed(wire[i : i + 1])] == whole
+    assert whole in ([[b"PING"]], [Integer(1234)])
+
+
 def _best_chunked_decode_s(decoder_cls, wire: bytes, chunk: int = 1024) -> float:
     best = float("inf")
     for _ in range(5):
@@ -461,3 +480,182 @@ def test_request_roundtrip_any_chunking(argvs, data):
         seen.extend(decoder.feed(wire[previous:cut]))
         previous = cut
     assert seen == argvs
+
+
+# -- the bulk-item loop against the state machine ---------------------------
+
+_SMALL_LIMITS = st.builds(
+    DecodeLimits,
+    max_bulk_length=st.sampled_from([5, 40, DecodeLimits.max_bulk_length]),
+    max_array_length=st.sampled_from([3, 16]),
+    max_depth=st.sampled_from([2, 32]),
+    max_line_length=st.sampled_from([3, 8, 64]),
+)
+
+# How a bulk header spells its length: plainly, zero-padded (up to past the
+# 18 digits the bulk-item loop takes), or in forms only the state machine
+# may judge.
+_HEADER_STYLES = st.sampled_from(
+    [b"%d", b"0%d", b"%020d", b"00000000000000000%d", b"+%d", b" %d", b"%d_"]
+)
+
+
+def _bulk_frame(members_and_styles) -> bytes:
+    """An array of bulk strings, each header spelled in its own style."""
+    parts = [b"*%d\r\n" % len(members_and_styles)]
+    for member, style in members_and_styles:
+        parts.append(b"$" + style % len(member) + b"\r\n" + member + b"\r\n")
+    return b"".join(parts)
+
+
+_BULK_FRAMES = st.lists(
+    st.tuples(st.binary(max_size=12), st.one_of(st.just(b"%d"), _HEADER_STYLES)),
+    min_size=2,
+    max_size=8,
+).map(_bulk_frame)
+
+_PIECES = [
+    b"$", b"*", b"\r", b"\n", b":", b"x", b"9", b" ", b"\r\n", b"$-1\r\n", b"$3x\r\n",
+    b"$+3\r\n", b"*-5\r\n", b"$" + b"9" * 19 + b"\r\n", b"$0003\r\n", b"*2\r\n",
+    b"PING\r\n", b"\"a b\" c\n", b"'x" + b"\n", b"y" * 70,
+]
+
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "drop", "insert"]),
+        st.integers(0, 1 << 16),
+        st.sampled_from(_PIECES),
+    ),
+    max_size=3,
+)
+
+
+def _mutate(wire: bytes, mutations) -> bytes:
+    buf = bytearray(wire)
+    for kind, at, piece in mutations:
+        i = at % (len(buf) + 1)
+        if kind == "drop":
+            del buf[i : i + 1]
+        elif kind == "replace":
+            buf[i : i + 1] = piece[:1]
+        else:
+            buf[i:i] = piece
+    return bytes(buf)
+
+
+def _as_plain(item):
+    if isinstance(item, InlineCommandError):
+        return ("inline", str(item))
+    return item
+
+
+def _feed_trace(decoder, wire: bytes, cuts: list[int]):
+    """Feed ``wire`` cut at ``cuts``. Return, per feed that returned, its end
+    offset, every item so far and ``pending_bytes``; and the fatal error as
+    (reason, offset, end offset of the feed that surfaced it), or None."""
+    trace, seen, start = [], [], 0
+    for end in cuts + [len(wire)]:
+        try:
+            got = decoder.feed(wire[start:end])
+        except ProtocolError as exc:  # StreamDecoder raises
+            return trace, (exc.reason, exc.offset, end)
+        if got and isinstance(got[-1], ProtocolError):  # RequestDecoder returns it
+            exc = got.pop()
+            seen += map(_as_plain, got)
+            return trace, (exc.reason, exc.offset, end)
+        seen += map(_as_plain, got)
+        trace.append((end, list(seen), getattr(decoder, "pending_bytes", None)))
+        start = end
+    return trace, None
+
+
+def _assert_cut_independent(cls, limits, wire, cuts):
+    """Whole, byte by byte and at ``cuts``: the same items, pending bytes and
+    fatal error, each a function of how many bytes have arrived."""
+    ref_trace, ref_error = _feed_trace(cls(limits), wire, list(range(1, len(wire))))
+    by_end = {0: ([], 0 if cls is StreamDecoder else None)}
+    by_end.update((end, (items, pending)) for end, items, pending in ref_trace)
+    for feeding in ([], sorted(cuts)):
+        trace, error = _feed_trace(cls(limits), wire, feeding)
+        for end, items, pending in trace:
+            assert by_end[end] == (items, pending), (end, wire)
+        if ref_error is None:
+            assert error is None
+            assert trace[-1][1:] == ref_trace[-1][1:]
+        else:
+            reason, offset, surfaced = ref_error
+            assert error is not None, wire
+            assert error[:2] == (reason, offset), wire
+            # Raised by the first feed that brought the byte exposing it.
+            assert error[2] == min(e for e in feeding + [len(wire)] if e >= surfaced)
+
+
+@given(
+    limits=_SMALL_LIMITS,
+    frames=st.lists(
+        st.one_of(_BULK_FRAMES, protocol_values().map(encode)), min_size=1, max_size=4
+    ),
+    mutations=_MUTATIONS,
+    cuts=st.lists(st.integers(0, 400), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_stream_decoding_is_cut_independent_on_valid_and_corrupt_streams(
+    limits, frames, mutations, cuts
+):
+    wire = _mutate(b"".join(frames), mutations)
+    cuts = [c for c in cuts if c <= len(wire)]
+    _assert_cut_independent(StreamDecoder, limits, wire, cuts)
+
+
+_INLINE = st.lists(
+    st.sampled_from([b"PING", b"GET k", b"\"a", b"x" * 40]), max_size=2
+).map(lambda lines: b"".join(line + b"\r\n" for line in lines))
+
+
+@given(
+    limits=_SMALL_LIMITS,
+    frames=st.lists(_BULK_FRAMES, min_size=1, max_size=4),
+    inline=_INLINE,
+    mutations=_MUTATIONS,
+    cuts=st.lists(st.integers(0, 400), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_request_decoding_is_cut_independent_on_valid_and_corrupt_streams(
+    limits, frames, inline, mutations, cuts
+):
+    wire = _mutate(inline + b"".join(frames), mutations)
+    cuts = [c for c in cuts if c <= len(wire)]
+    _assert_cut_independent(RequestDecoder, limits, wire, cuts)
+
+
+# -- member-array replies ---------------------------------------------------
+
+_MEMBER_LISTS = [
+    pytest.param((), id="empty"),
+    pytest.param((b"one",), id="single"),
+    pytest.param(tuple(b"m%05d" % i for i in range(10_000)), id="10000"),
+    pytest.param((b"a\r\nb", b"$3\r\nxyz", b"", b"\x00\xff*1\r\n"), id="binary"),
+]
+
+
+@pytest.mark.parametrize("members", _MEMBER_LISTS)
+def test_member_array_encodes_like_the_wrapped_array(members):
+    wrapped = Array(tuple(BulkString(m) for m in members))
+    assert encode(MemberArray(members)) == encode(wrapped)
+    assert StreamDecoder().feed(encode(MemberArray(members))) == [wrapped]
+
+
+@pytest.mark.parametrize("members", _MEMBER_LISTS)
+def test_member_array_equals_the_wrapped_array_both_ways(members):
+    value = MemberArray(members)
+    wrapped = Array(tuple(BulkString(m) for m in members))
+    assert value == wrapped and wrapped == value
+    assert not (value != wrapped or wrapped != value)
+    assert value == MemberArray(members) and hash(value) == hash(wrapped)
+    assert value.items == wrapped.items and isinstance(value, Array)
+    if len(set(members)) > 1:
+        reordered = Array(tuple(BulkString(m) for m in reversed(members)))
+        assert value != reordered and reordered != value
+        assert value != MemberArray(tuple(reversed(members)))
+    assert value != Array(None) and Array(None) != value
+    assert value != BulkString(None)
