@@ -10,17 +10,20 @@ empty in the keyspace: removing the last element removes the key.
 from __future__ import annotations
 
 import math
-import random
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import CommandError, WrongTypeError
 from .protocol import INT64_MAX, INT64_MIN, strict_int
 
-_SKIPLIST_MAX_LEVEL = 32
-_SKIPLIST_P = 0.25
+# A chunk is split in half once it holds more than twice this many pairs.
+_CHUNK_LOAD = 1000
+_score_of = itemgetter(0)
+_member_of = itemgetter(1)
 _UNDERSCORE = ord("_")
 
 
@@ -95,37 +98,22 @@ class RangeBound:
             raw = raw[1:]
         return cls(parse_float(raw, "ERR min or max is not a float"), exclusive)
 
-    def admits_low(self, score: float) -> bool:
-        """True when ``score`` clears this bound used as the minimum."""
-        return score > self.value if self.exclusive else score >= self.value
-
-    def admits_high(self, score: float) -> bool:
-        """True when ``score`` clears this bound used as the maximum."""
-        return score < self.value if self.exclusive else score <= self.value
-
-
-class _Node:
-    __slots__ = ("score", "member", "forward")
-
-    def __init__(self, score: float, member: bytes, level: int):
-        self.score = score
-        self.member = member
-        self.forward: list[_Node | None] = [None] * level
-
 
 class SortedSet:
     """Unique members ordered by (score, member bytes).
 
-    A skip list carries the ordering (O(log n) insert and remove, ranges in
-    O(log n + k)); a dict carries member -> score for O(1) lookups. Same
-    random level sequence every run, so structure is reproducible.
+    The ordering lives in a chunked sorted list, the design of Grant Jenks's
+    ``sortedcontainers`` SortedList: ``_chunks`` holds sorted runs of
+    (score, member) pairs, each split in half once it outgrows twice
+    ``_CHUNK_LOAD``, and ``_maxes`` holds the last pair of each chunk, so a
+    bisect on ``_maxes`` picks the chunk and a bisect inside it the slot. A
+    dict carries member -> score for O(1) lookups.
     """
 
     def __init__(self) -> None:
-        self._head = _Node(float("-inf"), b"", _SKIPLIST_MAX_LEVEL)
-        self._level = 1
+        self._chunks: list[list[tuple[float, bytes]]] = []
+        self._maxes: list[tuple[float, bytes]] = []
         self._scores: dict[bytes, float] = {}
-        self._rand = random.Random(0x5CA1AB1E)
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -142,81 +130,84 @@ class SortedSet:
         if current is not None:
             if current == score:
                 return False
-            self._unlink(current, member)
-            self._insert(score, member)
-            self._scores[member] = score
-            return False
-        self._insert(score, member)
+            self._discard((current, member))
         self._scores[member] = score
-        return True
+        self._insert((score, member))
+        return current is None
+
+    def update(self, pairs: Sequence[tuple[float, bytes]]) -> int:
+        """``add`` each (score, member) pair in turn; returns how many members
+        were new. A batch at least a quarter the size of the set is merged
+        into the dict and the chunks are rebuilt from one sort."""
+        scores = self._scores
+        if len(pairs) * 4 < len(scores):
+            return sum(self.add(score, member) for score, member in pairs)
+        before = len(scores)
+        for score, member in pairs:
+            # An equal score (0.0 against -0.0) leaves the member as it is.
+            if scores.get(member) != score:
+                scores[member] = score
+        ordered = sorted(zip(scores.values(), scores))
+        self._chunks = [
+            ordered[i : i + _CHUNK_LOAD] for i in range(0, len(ordered), _CHUNK_LOAD)
+        ]
+        self._maxes = [chunk[-1] for chunk in self._chunks]
+        return len(scores) - before
 
     def remove(self, member: bytes) -> bool:
         score = self._scores.pop(member, None)
         if score is None:
             return False
-        self._unlink(score, member)
+        self._discard((score, member))
         return True
 
     def range_by_score(self, low: RangeBound, high: RangeBound) -> list[bytes]:
         """Members whose score lies inside [low, high], in rank order."""
-        node = self._head
-        for lvl in range(self._level - 1, -1, -1):
-            nxt = node.forward[lvl]
-            while nxt is not None and not low.admits_low(nxt.score):
-                node = nxt
-                nxt = node.forward[lvl]
+        find_low = bisect_right if low.exclusive else bisect_left
+        find_high = bisect_left if high.exclusive else bisect_right
+        pos = find_low(self._maxes, low.value, key=_score_of)
+        if pos == len(self._chunks):
+            return []
+        start = find_low(self._chunks[pos], low.value, key=_score_of)
         out: list[bytes] = []
-        cursor = node.forward[0]
-        while cursor is not None and high.admits_high(cursor.score):
-            out.append(cursor.member)
-            cursor = cursor.forward[0]
+        for chunk in islice(self._chunks, pos, None):
+            stop = find_high(chunk, high.value, key=_score_of)
+            out += map(_member_of, chunk[start:stop])
+            if stop < len(chunk):
+                break
+            start = 0
         return out
 
     def items(self) -> Iterator[tuple[float, bytes]]:
         """All (score, member) pairs in rank order."""
-        cursor = self._head.forward[0]
-        while cursor is not None:
-            yield cursor.score, cursor.member
-            cursor = cursor.forward[0]
+        return chain.from_iterable(self._chunks)
 
-    def _random_level(self) -> int:
-        level = 1
-        while level < _SKIPLIST_MAX_LEVEL and self._rand.random() < _SKIPLIST_P:
-            level += 1
-        return level
+    def _insert(self, pair: tuple[float, bytes]) -> None:
+        chunks, maxes = self._chunks, self._maxes
+        if not maxes:
+            chunks.append([pair])
+            maxes.append(pair)
+            return
+        pos = min(bisect_left(maxes, pair), len(maxes) - 1)
+        chunk = chunks[pos]
+        insort(chunk, pair)
+        maxes[pos] = chunk[-1]
+        if len(chunk) > 2 * _CHUNK_LOAD:
+            chunks.insert(pos + 1, chunk[_CHUNK_LOAD:])
+            del chunk[_CHUNK_LOAD:]
+            maxes.insert(pos, chunk[-1])
 
-    def _path_to(self, score: float, member: bytes) -> list[_Node]:
-        """Per level, the rightmost node strictly before (score, member)."""
-        update: list[_Node] = [self._head] * _SKIPLIST_MAX_LEVEL
-        node = self._head
-        for lvl in range(self._level - 1, -1, -1):
-            nxt = node.forward[lvl]
-            while nxt is not None and (nxt.score, nxt.member) < (score, member):
-                node = nxt
-                nxt = node.forward[lvl]
-            update[lvl] = node
-        return update
-
-    def _insert(self, score: float, member: bytes) -> None:
-        update = self._path_to(score, member)
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        node = _Node(score, member, level)
-        for lvl in range(level):
-            node.forward[lvl] = update[lvl].forward[lvl]
-            update[lvl].forward[lvl] = node
-
-    def _unlink(self, score: float, member: bytes) -> None:
-        update = self._path_to(score, member)
-        node = update[0].forward[0]
-        if node is None or node.member != member or node.score != score:
+    def _discard(self, pair: tuple[float, bytes]) -> None:
+        pos = bisect_left(self._maxes, pair)
+        chunk = self._chunks[pos]
+        index = bisect_left(chunk, pair)
+        if chunk[index] != pair:
             raise AssertionError("sorted-set index out of sync")
-        for lvl in range(self._level):
-            if update[lvl].forward[lvl] is node:
-                update[lvl].forward[lvl] = node.forward[lvl]
-        while self._level > 1 and self._head.forward[self._level - 1] is None:
-            self._level -= 1
+        del chunk[index]
+        if not chunk:
+            del self._chunks[pos], self._maxes[pos]
+        elif index == len(chunk):
+            self._maxes[pos] = chunk[-1]
 
 
 class KeyStore:
@@ -376,12 +367,7 @@ class KeyStore:
     # -- sorted sets -----------------------------------------------------
 
     def zadd(self, key: bytes, pairs: Sequence[tuple[float, bytes]]) -> int:
-        zset = self._obtain(key, SortedSet)
-        added = 0
-        for score, member in pairs:
-            if zset.add(score, member):
-                added += 1
-        return added
+        return self._obtain(key, SortedSet).update(pairs)
 
     def zrangebyscore(
         self, key: bytes, low: RangeBound, high: RangeBound

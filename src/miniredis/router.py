@@ -142,9 +142,7 @@ class Router:
         if len(args) % 2 == 0:
             raise CommandError("ERR syntax error")
         # Validate every score before touching the keyspace.
-        pairs = [
-            (parse_score(args[i]), args[i + 1]) for i in range(1, len(args), 2)
-        ]
+        pairs = list(zip(map(parse_score, args[1::2]), args[2::2]))
         return Integer(self.store.zadd(args[0], pairs))
 
     def _zrangebyscore(self, session, args):

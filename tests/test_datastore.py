@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miniredis import datastore
 from miniredis.datastore import KeyStore, RangeBound, SortedSet, parse_int, parse_score
 from miniredis.errors import CommandError, WrongTypeError
 
@@ -322,7 +325,7 @@ def test_parse_int_strictness():
             parse_int(raw)
 
 
-# -- sorted set structure (skip list vs naive resort) ----------------------
+# -- sorted set structure (chunked sorted list vs naive resort) ------------
 
 
 def test_sortedset_add_remove_len():
@@ -376,9 +379,7 @@ def test_sortedset_matches_naive_model(ops, low, high, low_open, high_open):
 
 
 def test_sortedset_large_ordering_is_exact():
-    import random as _random
-
-    rng = _random.Random(7)
+    rng = random.Random(7)
     zset = SortedSet()
     naive = {}
     for i in range(2000):
@@ -391,6 +392,92 @@ def test_sortedset_large_ordering_is_exact():
             zset.remove(victim)
             naive.pop(victim, None)
     assert list(zset.items()) == sorted((s, m) for m, s in naive.items())
+
+
+def test_sortedset_churn_across_chunk_splits_and_drops(monkeypatch):
+    # A tiny chunk load makes a few operations enough to split or empty a chunk.
+    monkeypatch.setattr(datastore, "_CHUNK_LOAD", 8)
+    rng = random.Random(2024)
+    specials = [0.0, -0.0, math.inf, -math.inf, 1.5, -1.5]
+    members = [b"m%d" % i for i in range(300)]
+    zset = SortedSet()
+    naive: dict[bytes, float] = {}
+    # Members added with rising scores, oldest first: appending them splits
+    # the last chunk, and removing them empties the chunks they filled.
+    ticks: deque[bytes] = deque()
+
+    def pick_score() -> float:
+        roll = rng.random()
+        if roll < 0.4:
+            return rng.choice(specials)
+        if roll < 0.8:
+            return rng.randrange(-50, 50) / 4
+        return rng.uniform(-1.0, len(ticks) / 4 + 1.0)
+
+    def naive_add(score: float, member: bytes) -> bool:
+        new = member not in naive
+        if naive.get(member) != score:  # 0.0 against -0.0 is no rescore
+            naive[member] = score
+        return new
+
+    def check() -> None:
+        ordered = sorted((s, m) for m, s in naive.items())
+        assert list(zset.items()) == ordered
+        assert len(zset) == len(naive)
+        assert {m: repr(zset.score(m)) for m in naive} == {m: repr(s) for m, s in naive.items()}
+        assert zset._maxes == [chunk[-1] for chunk in zset._chunks]
+        assert all(0 < len(chunk) <= 16 for chunk in zset._chunks)
+        for _ in range(8):
+            low = RangeBound(pick_score(), rng.random() < 0.5)
+            high = RangeBound(pick_score(), rng.random() < 0.5)
+            assert zset.range_by_score(low, high) == [
+                m
+                for s, m in ordered
+                if (s > low.value if low.exclusive else s >= low.value)
+                and (s < high.value if high.exclusive else s <= high.value)
+            ]
+
+    ops = tick = splits = drops = big_batches = small_batches = 0
+    while ops < 50_000:
+        # Alternate growing and shrinking phases.
+        add_share = 0.75 if ops // 1000 % 2 else 0.25
+        chunks_before = len(zset._chunks)
+        roll = rng.random()
+        if roll < 0.005:
+            # A batch with repeated members: each pair applies in turn.
+            if rng.random() < 0.5:
+                size = rng.randrange(len(naive) // 4, len(naive) + 40) + 1
+                big_batches += 1
+            else:
+                size = rng.randrange(1, max(2, len(naive) // 4))
+                small_batches += size * 4 < len(naive)
+            batch = [(pick_score(), rng.choice(members)) for _ in range(size)]
+            expected = sum(naive_add(score, member) for score, member in batch)
+            assert zset.update(batch) == expected
+            check()
+            continue
+        if roll < add_share:
+            if rng.random() < 0.5:
+                tick += 1
+                member, score = b"t%d" % tick, tick / 4
+                ticks.append(member)
+            else:
+                member, score = rng.choice(members), pick_score()
+            assert zset.add(score, member) == naive_add(score, member)
+        else:
+            if ticks and rng.random() < 0.5:
+                member = ticks.popleft()
+            else:
+                member = rng.choice(members)
+            assert zset.remove(member) == (naive.pop(member, None) is not None)
+        ops += 1
+        splits += len(zset._chunks) > chunks_before
+        drops += len(zset._chunks) < chunks_before
+        if ops % 250 == 0:
+            check()
+    check()
+    assert splits > 1000 and drops > 1000
+    assert big_batches > 50 and small_batches > 50
 
 
 # -- keyspace-wide ----------------------------------------------------------

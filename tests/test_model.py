@@ -205,6 +205,7 @@ class EngineMatchesOracle(RuleBasedStateMachine):
                 listed = list(value.items())
                 assert len(listed) == len(value)
                 assert listed == sorted(listed)
+                assert all(value.score(member) == score for score, member in listed)
 
 
 EngineMatchesOracleTest = EngineMatchesOracle.TestCase
