@@ -105,9 +105,10 @@ class SortedSet:
     The ordering lives in a chunked sorted list, the design of Grant Jenks's
     ``sortedcontainers`` SortedList: ``_chunks`` holds sorted runs of
     (score, member) pairs, each split in half once it outgrows twice
-    ``_CHUNK_LOAD``, and ``_maxes`` holds the last pair of each chunk, so a
-    bisect on ``_maxes`` picks the chunk and a bisect inside it the slot. A
-    dict carries member -> score for O(1) lookups.
+    ``_CHUNK_LOAD`` and merged into a neighbour once it falls below
+    ``_CHUNK_LOAD // 2``, and ``_maxes`` holds the last pair of each chunk,
+    so a bisect on ``_maxes`` picks the chunk and a bisect inside it the
+    slot. A dict carries member -> score for O(1) lookups.
     """
 
     def __init__(self) -> None:
@@ -192,22 +193,37 @@ class SortedSet:
         chunk = chunks[pos]
         insort(chunk, pair)
         maxes[pos] = chunk[-1]
-        if len(chunk) > 2 * _CHUNK_LOAD:
-            chunks.insert(pos + 1, chunk[_CHUNK_LOAD:])
-            del chunk[_CHUNK_LOAD:]
-            maxes.insert(pos, chunk[-1])
+        self._split_if_full(pos)
 
     def _discard(self, pair: tuple[float, bytes]) -> None:
-        pos = bisect_left(self._maxes, pair)
-        chunk = self._chunks[pos]
+        chunks, maxes = self._chunks, self._maxes
+        pos = bisect_left(maxes, pair)
+        chunk = chunks[pos]
         index = bisect_left(chunk, pair)
         if chunk[index] != pair:
             raise AssertionError("sorted-set index out of sync")
         del chunk[index]
-        if not chunk:
-            del self._chunks[pos], self._maxes[pos]
-        elif index == len(chunk):
-            self._maxes[pos] = chunk[-1]
+        if len(chunk) >= _CHUNK_LOAD // 2 or len(chunks) == 1:
+            if not chunk:
+                del chunks[pos], maxes[pos]
+            elif index == len(chunk):
+                maxes[pos] = chunk[-1]
+            return
+        # An underfilled chunk joins its left neighbour (the first chunk
+        # takes in the second), so a shrinking set also sheds chunks.
+        pos = max(pos, 1)
+        chunks[pos - 1] += chunks[pos]
+        del chunks[pos], maxes[pos]
+        maxes[pos - 1] = chunks[pos - 1][-1]
+        self._split_if_full(pos - 1)
+
+    def _split_if_full(self, pos: int) -> None:
+        """Split chunk ``pos`` in two once it outgrows twice the load."""
+        chunk = self._chunks[pos]
+        if len(chunk) > 2 * _CHUNK_LOAD:
+            self._chunks.insert(pos + 1, chunk[_CHUNK_LOAD:])
+            del chunk[_CHUNK_LOAD:]
+            self._maxes.insert(pos, chunk[-1])
 
 
 class KeyStore:

@@ -3,9 +3,11 @@
 Concurrency model: any number of connections, one logical executor. All
 command dispatch runs on the event loop with no awaits in between, so
 commands from different sessions serialize naturally and each one sees a
-consistent keyspace. Per session, replies are written by a dedicated
-writer task fed from a bounded queue; a session that stops draining its
-queue gets disconnected rather than stalling everyone else.
+consistent keyspace. Per session, the replies to everything one socket read
+decodes are joined into one chunk (handed over early every 64 KiB) and
+queued; a dedicated writer task writes each chunk with one write. A session
+whose queue outgrows its limit is disconnected rather than stalling everyone
+else, and runs no further command.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ LOG_LEVELS = {
     "notice": logging.INFO,
     "warning": logging.WARNING,
 }
+
+# The replies to one socket read are queued as one chunk, handed over early
+# once they reach this many bytes so a long pipeline is not buffered whole.
+FLUSH_BYTES = 64 * 1024
 
 
 @dataclass
@@ -151,6 +157,13 @@ class Session:
             self.queue.put_nowait(None)
 
 
+def _flush(session: Session, parts: list[bytes]) -> None:
+    """Queue the buffered replies as one chunk and empty the buffer."""
+    if parts:
+        session.send_bytes(b"".join(parts))  # a lone part is passed on uncopied
+        parts.clear()
+
+
 class Server:
     """Accepts connections and funnels every command through one Router."""
 
@@ -226,21 +239,37 @@ class Server:
                 return
             if not data:
                 return
-            for item in session.decoder.feed(data):
-                if isinstance(item, InlineCommandError):
-                    session.send_bytes(encode(Error(f"ERR Protocol error: {item}")))
-                    continue
-                if isinstance(item, ProtocolError):
-                    # Fatal framing error: tell the client, then hang up.
-                    log.info("session %d protocol error: %s", session.id, item)
-                    session.send_bytes(
-                        encode(Error(f"ERR Protocol error: {item.reason}"))
-                    )
-                    return
-                for reply in self.router.dispatch(session, item):
-                    session.send_bytes(encode(reply))
-                if session.close_requested:
-                    return
+            # The replies to one read are queued together, as one chunk. They
+            # stay in order with pub/sub deliveries: nothing awaits between
+            # decoding and the flush, so no other session runs meanwhile, and a
+            # subscribed session cannot PUBLISH, so it cannot deliver to itself.
+            parts: list[bytes] = []
+            size = 0
+            try:
+                for item in session.decoder.feed(data):
+                    if isinstance(item, InlineCommandError):
+                        replies = [Error(f"ERR Protocol error: {item}")]
+                    elif isinstance(item, ProtocolError):
+                        # Fatal framing error: tell the client, then hang up.
+                        log.info("session %d protocol error: %s", session.id, item)
+                        parts.append(encode(Error(f"ERR Protocol error: {item.reason}")))
+                        return
+                    else:
+                        replies = self.router.dispatch(session, item)
+                    for reply in replies:
+                        out = encode(reply)
+                        parts.append(out)
+                        size += len(out)
+                    # Hand over early at FLUSH_BYTES, and as soon as the output
+                    # queue would overflow, so an overflowing session is cut
+                    # before its next command runs.
+                    if size >= FLUSH_BYTES or size + session.queued_bytes > session.queue_limit:
+                        _flush(session, parts)
+                        size = 0
+                    if session.close_requested or session.closing:
+                        return
+            finally:
+                _flush(session, parts)
 
     async def _writer_loop(self, session: Session) -> None:
         writer = session.writer

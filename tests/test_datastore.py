@@ -427,6 +427,8 @@ def test_sortedset_churn_across_chunk_splits_and_drops(monkeypatch):
         assert {m: repr(zset.score(m)) for m in naive} == {m: repr(s) for m, s in naive.items()}
         assert zset._maxes == [chunk[-1] for chunk in zset._chunks]
         assert all(0 < len(chunk) <= 16 for chunk in zset._chunks)
+        # Underfilled chunks are merged, so a shrinking set sheds chunks too.
+        assert len(zset._chunks) <= len(zset) / (datastore._CHUNK_LOAD // 2) + 1
         for _ in range(8):
             low = RangeBound(pick_score(), rng.random() < 0.5)
             high = RangeBound(pick_score(), rng.random() < 0.5)
@@ -478,6 +480,18 @@ def test_sortedset_churn_across_chunk_splits_and_drops(monkeypatch):
     check()
     assert splits > 1000 and drops > 1000
     assert big_batches > 50 and small_batches > 50
+    # Grow by single adds, then shrink in random order to a few members:
+    # underfilled chunks must keep merging all the way down.
+    for i in range(2000):
+        score, member = rng.random(), b"g%d" % i
+        assert zset.add(score, member) == naive_add(score, member)
+    doomed = list(naive)
+    rng.shuffle(doomed)
+    for member in doomed[10:]:
+        assert zset.remove(member)
+        del naive[member]
+        assert len(zset._chunks) <= len(zset) / (datastore._CHUNK_LOAD // 2) + 1
+    check()
 
 
 # -- keyspace-wide ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
 import queue
 import re
@@ -17,6 +18,7 @@ import pytest
 
 import miniredis
 from miniredis.client import Connection
+from miniredis.protocol import Integer
 from miniredis.server import (
     ServerConfig,
     ServerThread,
@@ -80,6 +82,74 @@ def test_large_pipeline_one_in_one_out(server):
         sock.sendall(burst)
         expected = b"".join(b":%d\r\n" % (i + 1) for i in range(count))
         assert recv_exactly(sock, len(expected)) == expected
+
+
+def resp_command(*args: bytes) -> bytes:
+    return b"*%d\r\n" % len(args) + b"".join(b"$%d\r\n%s\r\n" % (len(a), a) for a in args)
+
+
+def test_pipelined_replies_are_coalesced_into_few_writes(monkeypatch):
+    writes = []
+    original = asyncio.StreamWriter.write
+
+    def counting_write(writer, data):
+        writes.append(len(data))
+        return original(writer, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+    with ServerThread(ServerConfig(port=0)) as srv, connect_raw(srv) as sock:
+        sock.sendall(b"*1\r\n$4\r\nPING\r\n" * 200)
+        assert recv_exactly(sock, 7 * 200) == b"+PONG\r\n" * 200
+        assert sum(writes) == 7 * 200
+        assert len(writes) < 20
+
+
+def test_pipeline_ending_in_quit_flushes_earlier_replies_and_skips_the_rest(server):
+    with connect_raw(server) as sock:
+        sock.sendall(
+            resp_command(b"SET", b"k", b"v")
+            + resp_command(b"GET", b"k")
+            + resp_command(b"QUIT")
+            + resp_command(b"PING")
+        )
+        sock.settimeout(5)
+        assert recv_until_closed(sock) == b"+OK\r\n$1\r\nv\r\n+OK\r\n"
+
+
+def test_pipeline_ending_in_malformed_frame_flushes_replies_then_error(server):
+    with connect_raw(server) as sock:
+        sock.sendall(
+            resp_command(b"SET", b"k", b"v") + resp_command(b"GET", b"k") + b"*1\r\n:5\r\n"
+        )
+        sock.settimeout(5)
+        data = recv_until_closed(sock)
+        assert data.startswith(b"+OK\r\n$1\r\nv\r\n-ERR Protocol error: expected '$'")
+        assert data.endswith(b"\r\n") and data.count(b"\r\n") == 4
+
+
+def test_pipelined_large_replies_span_several_flushes(server):
+    values = [bytes([65 + i]) * (100 * 1024 + i) for i in range(4)]
+    with connect_raw(server) as sock:
+        sock.sendall(b"".join(resp_command(b"SET", b"k%d" % i, v) for i, v in enumerate(values)))
+        assert recv_exactly(sock, 20) == b"+OK\r\n" * 4
+        sock.sendall(b"".join(resp_command(b"GET", b"k%d" % i) for i in range(4)) * 2)
+        expected = b"".join(b"$%d\r\n%s\r\n" % (len(v), v) for v in values) * 2
+        assert recv_exactly(sock, len(expected)) == expected
+
+
+def test_pipelined_subscribe_and_ping_reply_in_order(server):
+    with connect_raw(server) as sock:
+        sock.sendall(resp_command(b"SUBSCRIBE", b"a", b"b") + resp_command(b"PING"))
+        expected = (
+            b"*3\r\n$9\r\nsubscribe\r\n$1\r\na\r\n:1\r\n"
+            b"*3\r\n$9\r\nsubscribe\r\n$1\r\nb\r\n:2\r\n"
+            b"+PONG\r\n"
+        )
+        assert recv_exactly(sock, len(expected)) == expected
+        with Connection(server.host, server.port) as pub:
+            pub.execute("PUBLISH", "b", "hi")
+        message = b"*3\r\n$7\r\nmessage\r\n$1\r\nb\r\n$2\r\nhi\r\n"
+        assert recv_exactly(sock, len(message)) == message
 
 
 def test_inline_commands_over_tcp(server):
@@ -249,6 +319,20 @@ def test_output_queue_overflow_disconnects_slow_subscriber():
             from miniredis.protocol import SimpleString
 
             assert probe.execute("PING") == SimpleString("PONG")
+
+
+def test_output_queue_overflow_runs_no_further_command():
+    # Once a reply overflows the output queue the session is cut, and the
+    # commands after it in the same read must not run.
+    with ServerThread(ServerConfig(port=0, output_queue_limit=1024)) as srv:
+        with Connection(srv.host, srv.port) as conn:
+            conn.execute("SET", "big", b"x" * 4096)
+        with connect_raw(srv) as sock:
+            sock.sendall(resp_command(b"GET", b"big") + resp_command(b"SET", b"flag", b"1"))
+            sock.settimeout(5)
+            assert recv_until_closed(sock) == b""
+        with Connection(srv.host, srv.port) as conn:
+            assert conn.execute("EXISTS", "flag") == Integer(0)
 
 
 def test_binary_values_over_tcp(conn):
