@@ -16,19 +16,26 @@ construction, the awaited bulk length), so no byte is parsed twice and a
 frame costs time linear in its size however finely it arrives.
 
 Both decoders are one resumable state machine that owns every check, error
-text, limit and offset. Inside an open array it hands over to one tight
-loop, ``_Decoder._bulk_items``, which takes consecutive bulk strings that
-are already complete and plainly well formed straight out of the buffer.
-That loop never raises: at anything else (a cut or unusual header, another
-type byte, a bad terminator, a length over the limit) it stops, and the
-state machine resumes at the same byte. Array replies of raw members
-(``MemberArray``) are framed like commands, with no value per member.
+text, limit and offset. Inside an open array it hands over to
+``_Decoder._bulk_items``, which takes consecutive bulk strings that are
+already complete and plainly well formed straight out of the buffer in two
+tiers. While more than 8 items are due, a split-and-verify run copies a
+bounded window, splits it once on CRLF and checks a whole batch of
+(header, body) pairs with one list comparison against the canonical
+headers of the body lengths. Where a run stops, a per-item loop (one regex
+match per header) goes on at the same byte. Neither raises: at anything
+else (a cut or unusual header, another type byte, a bad terminator, a
+length over a limit) they stop, and the state machine resumes at that
+byte. Array replies of raw members (``MemberArray``) are framed like
+commands, with no value per member.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
+from operator import ne, or_
 from typing import Sequence
 
 from .errors import InlineCommandError, ProtocolError
@@ -138,8 +145,11 @@ def encode(value: ProtocolValue) -> bytes:
 
 
 # Headers of short bulk strings, built once, so framing an array of short
-# members allocates nothing per member.
-_SHORT_BULK_HEADERS = tuple(b"$%d\r\n" % size for size in range(256))
+# members allocates nothing per member and a split run checks a short body
+# with one lookup. Without CRLF as a list, whose ``__getitem__`` is a plain
+# method and so cheaper to map than a tuple's slot wrapper.
+_BULK_TAGS = [b"$%d" % size for size in range(256)]
+_SHORT_BULK_HEADERS = tuple(tag + CRLF for tag in _BULK_TAGS)
 
 
 def encode_command(argv: Sequence[bytes]) -> bytearray:
@@ -220,6 +230,11 @@ class _Decoder:
         self._scanned = 0
         self._bulk = -1  # length of the bulk body being awaited, else -1
         self._broken = False
+        # The longest body a split run may take: within max_bulk_length, and
+        # with no more digits than max_line_length allows in its header.
+        digits = self._limits.max_line_length
+        longest = 10 ** min(digits, 19) - 1 if digits > 0 else -1
+        self._run_limit = min(self._limits.max_bulk_length, longest)
 
     def _decode(self, data: bytes, out: list) -> None:
         """Run the subclass's ``_run(buf, view, out)``, which appends every
@@ -269,19 +284,65 @@ class _Decoder:
     ) -> int:
         """Append the bodies of the complete ``$<digits>\r\n<body>\r\n``
         items at ``pos`` until ``items`` holds ``count``; return the offset
-        after the last one taken.
-
-        Stops without raising at anything else: a cut header or body,
-        another type byte, a header that is not 1 to 18 plain digits or is
-        longer than ``max_line_length``, a missing trailing CRLF, a length
-        over ``max_bulk_length``. The state machine then resumes at that
-        byte and alone raises. Called only right after a header or value
+        after the last one taken. Called only right after a header or value
         completed, so no half-searched line (``_scanned``) is pending.
+
+        Two tiers take items and neither raises; where both stop, the state
+        machine resumes at that byte and alone raises. While more than
+        ``_RUN_MIN`` items are due, split-and-verify runs (``_split_run``)
+        take batches of items from a window of the buffer. A run pays when
+        it takes every complete item in its window, with at most
+        ``_RUN_ITEM_BYTES`` of window per item; the window then grows.
+        After any other run the window shrinks back and the per-item loop
+        (``_by_header``) takes a stretch of items that doubles each time.
+        That loop also takes the first item of a call, and goes on in
+        doubling stretches while its items average more than
+        ``_RUN_ITEM_BYTES``. So frames that defeat the run (bodies holding
+        CRLF, padded headers, large bodies) cost a few small window copies
+        over the per-item loop, not one per item or per read.
+        """
+        due = count - len(items)
+        if due <= _RUN_MIN:
+            return self._by_header(buf, view, pos, items, due)
+        window, stretch, slow = _RUN_WINDOW, _RUN_MIN, 1
+        while due:
+            began = pos
+            if slow or due < _RUN_MIN:
+                size = min(slow, due) if slow else due
+                pos = self._by_header(buf, view, pos, items, size)
+                taken = len(items) + due - count
+                if taken < size:
+                    break
+                if slow and pos - began > _RUN_ITEM_BYTES * taken:
+                    stretch, slow = 2 * stretch, stretch
+                else:
+                    slow = 0
+            else:
+                stop = min(len(buf), pos + window)
+                pos, clean = _split_run(view, pos, stop, due, self._run_limit, items)
+                taken = len(items) + due - count
+                if clean and stop - began <= _RUN_ITEM_BYTES * taken:
+                    window, stretch = min(4 * window, _RUN_WINDOW_MAX), _RUN_MIN
+                else:
+                    window, stretch, slow = _RUN_WINDOW, 2 * stretch, stretch
+            due -= taken
+        return pos
+
+    def _by_header(
+        self, buf: bytearray, view: memoryview, pos: int, items: list, size: int
+    ) -> int:
+        """The per-item loop: append at most ``size`` items, one regex match
+        per header, and return the offset after the last one taken.
+
+        Stops at anything else: a cut header or body, another type byte, a
+        header that is not 1 to 18 plain digits or is longer than
+        ``max_line_length``, a missing trailing CRLF, a length over
+        ``max_bulk_length``.
         """
         max_bulk = self._limits.max_bulk_length
         max_digits = self._limits.max_line_length
         header, append = _BULK_HEADER, items.append
-        for _ in range(count - len(items)):
+        for _ in range(size):
             match = header(buf, pos)
             if match is None:
                 break
@@ -297,6 +358,51 @@ class _Decoder:
             append(view[start:end].tobytes())
             pos = end + 2
         return pos
+
+
+# Items that must still be due before a split run is worth its set-up; the
+# first and largest window (bytes) a run copies and splits; and the mean item
+# size above which a run costs more than the per-item loop.
+_RUN_MIN = 8
+_RUN_WINDOW = 512
+_RUN_WINDOW_MAX = 16 * 1024
+_RUN_ITEM_BYTES = 256
+
+
+def _split_run(
+    view: memoryview, pos: int, stop: int, need: int, limit: int, items: list
+) -> tuple[int, bool]:
+    """Append the bodies of the leading canonically framed bulk items in
+    ``view[pos:stop]``, at most ``need``; return the offset after the last
+    one taken and whether every complete item in the window was taken.
+
+    The window is split once on CRLF; even tokens are headers, odd tokens
+    bodies, and only pairs followed by a CRLF count. A pair is taken while
+    its header is exactly ``$<len(body)>`` (so the body holds no CRLF and
+    the header no padding, sign or other spelling) and the length is at
+    most ``limit``; the first pair that is not ends the run. Taken pairs
+    frame exactly as the state machine would frame them.
+    """
+    tokens = view[pos:stop].tobytes().split(CRLF, 2 * need)
+    pairs = (len(tokens) - 1) // 2
+    if not pairs:
+        return pos, False
+    heads, bodies = tokens[0 : 2 * pairs : 2], tokens[1 : 2 * pairs : 2]
+    try:
+        canon = list(map(_BULK_TAGS.__getitem__, map(len, bodies)))
+    except IndexError:  # a body of 256 bytes or more
+        canon = list(map(b"$%d".__mod__, map(len, bodies)))
+    # Under the default limits no body that fits the window is too long.
+    if canon == heads and (limit >= stop - pos or max(map(len, bodies)) <= limit):
+        items += bodies
+        # The window less its unpaired tail tokens and the CRLFs between them.
+        tail = tokens[2 * pairs :]
+        return stop - sum(map(len, tail)) - 2 * len(tail) + 2, True
+    sizes = list(map(len, bodies))
+    bad = map(or_, map(ne, heads, canon), map(limit.__lt__, sizes))
+    good = next(itertools.compress(itertools.count(), bad))
+    items += bodies[:good]
+    return pos + 4 * good + sum(sizes[:good]) + sum(map(len, heads[:good])), False
 
 
 _MARKERS = b"+-:$*"

@@ -6,12 +6,15 @@ grammar and must never be computed by the code under test.
 
 from __future__ import annotations
 
+import os
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from miniredis import protocol
 from miniredis.errors import InlineCommandError, ProtocolError
 from miniredis.protocol import (
     INT64_MAX,
@@ -349,16 +352,19 @@ def test_header_of_exactly_max_line_length_is_accepted_however_it_is_cut(cls):
     assert whole in ([[b"PING"]], [Integer(1234)])
 
 
-def _best_chunked_decode_s(decoder_cls, wire: bytes, chunk: int = 1024) -> float:
+def _best_chunked_decode_s(
+    decoder_cls, wire: bytes, chunk: int = 1024, values: int = 1, repeats: int = 5
+) -> float:
     best = float("inf")
-    for _ in range(5):
+    for _ in range(repeats):
         decoder = decoder_cls()
         start = time.perf_counter()
         decoded = []
         for i in range(0, len(wire), chunk):
             decoded.extend(decoder.feed(wire[i : i + chunk]))
         best = min(best, time.perf_counter() - start)
-        assert len(decoded) == 1
+        assert len(decoded) == values
+        assert not any(isinstance(value, Exception) for value in decoded)
     return best
 
 
@@ -375,6 +381,63 @@ def test_chunked_decoding_scales_linearly(decoder_cls):
     small = _best_chunked_decode_s(decoder_cls, _many_bulk_frame(n))
     large = _best_chunked_decode_s(decoder_cls, _many_bulk_frame(4 * n))
     assert large / small < 8
+
+
+def _alternating_crlf_frame(n: int) -> bytes:
+    return _bulk_frame(
+        [(b"a\r\nb%05d" % i if i % 2 else b"m%06d" % i, b"%d") for i in range(n)]
+    )
+
+
+def _zero_padded_frame(n: int) -> bytes:
+    return _bulk_frame([(b"m%015d" % i, b"%03d") for i in range(n)])  # $016
+
+
+def _big_bodies_frame(n: int) -> bytes:
+    return _bulk_frame([(bytes([65 + i % 26]) * 100_000, b"%d") for i in range(n)])
+
+
+def _nine_argument_frames(n: int) -> bytes:
+    argv = (b"ZADD", b"z", b"1", b"a", b"2", b"b", b"3", b"c", b"d")
+    return encode(Array(tuple(map(BulkString, argv)))) * n
+
+
+# Frame shapes on which the split run of the bulk-item loop stops early or
+# gains little: (build(n), n, bytes per feed, values decoded).
+_HOSTILE_SHAPES = {
+    "alternate-bodies-hold-crlf": (_alternating_crlf_frame, 2000, 1 << 30, lambda n: 1),
+    "zero-padded-headers": (_zero_padded_frame, 2000, 1 << 30, lambda n: 1),
+    "100kb-bodies-in-64kib-reads": (_big_bodies_frame, 25, 1 << 16, lambda n: 1),
+    "nine-argument-frames": (_nine_argument_frames, 5000, 1 << 30, lambda n: n),
+}
+
+
+@pytest.mark.parametrize("shape", list(_HOSTILE_SHAPES))
+@pytest.mark.parametrize("decoder_cls", [RequestDecoder, StreamDecoder])
+def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
+    # A run that fails and is retried at every item, or a window copied again
+    # on every read, shows here: as superlinear growth, or as a cost several
+    # times that of the per-item loop alone (the split run switched off).
+    # The three decodes take turns, so heap growth and drift hit all alike.
+    build, n, chunk, values = _HOSTILE_SHAPES[shape]
+    small, large = build(n), build(4 * n)
+    # Built and dropped: once a block this size is freed, the C allocator
+    # keeps freed decode output for reuse rather than unmapping it, so the
+    # larger decode does not alone pay fresh page faults on every repeat.
+    build(4 * n)
+    cases = {
+        "small": (small, values(n), protocol._RUN_MIN),
+        "large": (large, values(4 * n), protocol._RUN_MIN),
+        "loop only": (small, values(n), len(large)),
+    }
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(5):
+        for name, (wire, count, run_min) in cases.items():
+            with mock.patch.object(protocol, "_RUN_MIN", run_min):
+                taken = _best_chunked_decode_s(decoder_cls, wire, chunk, count, 1)
+            best[name] = min(best[name], taken)
+    assert best["large"] / best["small"] < 8, best
+    assert best["small"] / best["loop only"] < 2, best
 
 
 # -- inline tokenizer -------------------------------------------------------
@@ -487,7 +550,7 @@ def test_request_roundtrip_any_chunking(argvs, data):
 _SMALL_LIMITS = st.builds(
     DecodeLimits,
     max_bulk_length=st.sampled_from([5, 40, DecodeLimits.max_bulk_length]),
-    max_array_length=st.sampled_from([3, 16]),
+    max_array_length=st.sampled_from([3, 16, 64]),
     max_depth=st.sampled_from([2, 32]),
     max_line_length=st.sampled_from([3, 8, 64]),
 )
@@ -508,11 +571,32 @@ def _bulk_frame(members_and_styles) -> bytes:
     return b"".join(parts)
 
 
-_BULK_FRAMES = st.lists(
-    st.tuples(st.binary(max_size=12), st.one_of(st.just(b"%d"), _HEADER_STYLES)),
-    min_size=2,
-    max_size=8,
-).map(_bulk_frame)
+# Bodies: mostly short binary; one in eight either looks like CRLFs, a
+# header or an array start to a splitter, or is 256 bytes or more, so its
+# header is not in the split run's table.
+_ODD_BODIES = st.one_of(
+    st.sampled_from([b"\r\n", b"$3\r\nabc", b"*1\r\n"]),
+    st.binary(min_size=256, max_size=300),
+)
+_BODIES = st.integers(0, 7).flatmap(
+    lambda k: _ODD_BODIES if k == 0 else st.binary(max_size=12)
+)
+
+
+@st.composite
+def _bulk_frames(draw) -> bytes:
+    """2 to 40 items, so split runs (from 8 items due) start, stop and
+    resume: plain headers, with any number of them respelled in the other
+    styles (a few, often, so runs of plain headers are common)."""
+    size = draw(st.integers(2, 40))
+    bodies = draw(st.lists(_BODIES, min_size=size, max_size=size))
+    styles = [b"%d"] * len(bodies)
+    for at in draw(st.lists(st.integers(0, len(bodies) - 1), max_size=len(bodies))):
+        styles[at] = draw(_HEADER_STYLES)
+    return _bulk_frame(list(zip(bodies, styles)))
+
+
+_BULK_FRAMES = _bulk_frames()
 
 _PIECES = [
     b"$", b"*", b"\r", b"\n", b":", b"x", b"9", b" ", b"\r\n", b"$-1\r\n", b"$3x\r\n",
@@ -590,6 +674,10 @@ def _assert_cut_independent(cls, limits, wire, cuts):
             assert error[2] == min(e for e in feeding + [len(wire)] if e >= surfaced)
 
 
+# Examples per cut-independence property; a deeper run sets it higher.
+_CUT_EXAMPLES = int(os.environ.get("MINIREDIS_CUT_EXAMPLES", "300"))
+
+
 @given(
     limits=_SMALL_LIMITS,
     frames=st.lists(
@@ -598,7 +686,7 @@ def _assert_cut_independent(cls, limits, wire, cuts):
     mutations=_MUTATIONS,
     cuts=st.lists(st.integers(0, 400), max_size=8),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_CUT_EXAMPLES, deadline=None)
 def test_stream_decoding_is_cut_independent_on_valid_and_corrupt_streams(
     limits, frames, mutations, cuts
 ):
@@ -619,13 +707,92 @@ _INLINE = st.lists(
     mutations=_MUTATIONS,
     cuts=st.lists(st.integers(0, 400), max_size=8),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_CUT_EXAMPLES, deadline=None)
 def test_request_decoding_is_cut_independent_on_valid_and_corrupt_streams(
     limits, frames, inline, mutations, cuts
 ):
     wire = _mutate(inline + b"".join(frames), mutations)
     cuts = [c for c in cuts if c <= len(wire)]
     _assert_cut_independent(RequestDecoder, limits, wire, cuts)
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+@given(
+    limits=_SMALL_LIMITS,
+    frames=st.lists(_BULK_FRAMES, min_size=1, max_size=4),
+    mutations=_MUTATIONS,
+    cuts=st.lists(st.integers(0, 400), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_decoding_is_cut_independent_when_split_runs_cross_window_edges(
+    cls, limits, frames, mutations, cuts
+):
+    # Windows of a few dozen bytes end most split runs inside an item.
+    wire = _mutate(b"".join(frames), mutations)
+    cuts = [c for c in cuts if c <= len(wire)]
+    with mock.patch.object(protocol, "_RUN_WINDOW", 24), mock.patch.object(
+        protocol, "_RUN_WINDOW_MAX", 48
+    ):
+        _assert_cut_independent(cls, limits, wire, cuts)
+
+
+def _whole_feed(cls, limits, wire):
+    """Items and fatal error of one whole feed, checked against byte by byte."""
+    _assert_cut_independent(cls, limits, wire, [])
+    trace, error = _feed_trace(cls(limits), wire, [])
+    return (trace[-1][1] if trace else None), error
+
+
+# Each frame below reaches a split run with a pair the run must leave to the
+# state machine; the run keeps every limit and framing check it relies on.
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_split_run_leaves_headers_over_max_line_length(cls):
+    # Four one-byte items first: the state machine and the per-item loop
+    # take at most two, and a run that pays over the next two widens the
+    # window to hold a whole 1 000-byte item, whose 4-digit header is over
+    # the limit of 3.
+    items = [b"a", b"b", b"c", b"d"] + [b"x" * 1000] * 8
+    wire = _bulk_frame([(item, b"%d") for item in items])
+    _, error = _whole_feed(cls, DecodeLimits(max_line_length=3), wire)
+    assert error == ("line exceeds maximum length", wire.index(b"$1000") + 1, len(wire))
+
+
+@pytest.mark.parametrize(
+    "cls,reason",
+    [
+        (RequestDecoder, "invalid bulk length"),
+        (StreamDecoder, "bulk length exceeds limit"),
+    ],
+)
+def test_split_run_leaves_bodies_over_max_bulk_length(cls, reason):
+    items = [b"m%d" % i for i in range(12)]
+    items[8] = b"y" * 41
+    wire = _bulk_frame([(item, b"%d") for item in items])
+    _, error = _whole_feed(cls, DecodeLimits(max_bulk_length=40), wire)
+    assert error == (reason, wire.index(b"$41\r\n"), len(wire))
+
+
+# In the two frames below the 10th item's header line is followed by a
+# one-byte line, so a run that judged headers by their digits alone would
+# take the pair for a one-byte bulk string.
+
+
+def test_split_run_leaves_an_integer_item_to_the_state_machine():
+    members = [BulkString(b"m%d" % i) for i in range(10)]
+    bulks = [encode(member) for member in members]
+    wire = b"*12\r\n" + b"".join(bulks[:9]) + b":1\r\n+\r\n" + bulks[9]
+    values, error = _whole_feed(StreamDecoder, DecodeLimits(), wire)
+    assert error is None
+    assert values == [Array((*members[:9], Integer(1), SimpleString(""), members[9]))]
+
+
+def test_split_run_leaves_a_nested_array_to_the_state_machine():
+    bulks = [encode(BulkString(b"m%d" % i)) for i in range(11)]
+    wire = b"*12\r\n" + b"".join(bulks[:9]) + b"*1\r\nx\r\n" + b"".join(bulks[9:])
+    _, error = _whole_feed(RequestDecoder, DecodeLimits(), wire)
+    assert error == ("expected '$', got b'*'", wire.index(b"*1\r\n"), len(wire))
 
 
 # -- member-array replies ---------------------------------------------------
