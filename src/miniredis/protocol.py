@@ -26,17 +26,29 @@ headers of the body lengths. Where a run stops, a per-item loop (one regex
 match per header) goes on at the same byte. Neither raises: at anything
 else (a cut or unusual header, another type byte, a bad terminator, a
 length over a limit) they stop, and the state machine resumes at that
-byte. Array replies of raw members (``MemberArray``) are framed like
-commands, with no value per member.
+byte.
+
+``RequestDecoder`` adds a command tier in front of the state machine, for
+pipelines of small commands. Where a command starts and nothing is half
+decoded, it reads the first ``*<k>`` tag, copies a bounded window, splits
+it once on CRLF and takes every whole command in it whose tag has 1 to 255
+items and whose headers are the canonical ``$<len>`` of bodies under 256
+bytes, all within the limits. It too never raises: inline lines, other
+arrays, long or odd items, commands cut by the window or the read, and
+every refusal are left to the state machine. After a run that takes
+nothing or stops short of its window, the tier stands aside for a doubling
+stretch of commands. Array replies of raw members (``MemberArray``) are
+framed like commands, with no value per member.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from operator import ne, or_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InlineCommandError, ProtocolError
 
@@ -369,6 +381,12 @@ _RUN_WINDOW_MAX = 16 * 1024
 _RUN_ITEM_BYTES = 256
 
 
+def _canonical(header: Callable[[int], bytes | None], bodies: list[bytes]) -> list:
+    """The canonical header ``$<len(body)>`` of each body, which ``header``
+    gives for a length (an entry of ``_BULK_TAGS``, or None to refuse it)."""
+    return list(map(header, map(len, bodies)))
+
+
 def _split_run(
     view: memoryview, pos: int, stop: int, need: int, limit: int, items: list
 ) -> tuple[int, bool]:
@@ -389,9 +407,9 @@ def _split_run(
         return pos, False
     heads, bodies = tokens[0 : 2 * pairs : 2], tokens[1 : 2 * pairs : 2]
     try:
-        canon = list(map(_BULK_TAGS.__getitem__, map(len, bodies)))
+        canon = _canonical(_BULK_TAGS.__getitem__, bodies)
     except IndexError:  # a body of 256 bytes or more
-        canon = list(map(b"$%d".__mod__, map(len, bodies)))
+        canon = _canonical(b"$%d".__mod__, bodies)
     # Under the default limits no body that fits the window is too long.
     if canon == heads and (limit >= stop - pos or max(map(len, bodies)) <= limit):
         items += bodies
@@ -507,6 +525,15 @@ class StreamDecoder(_Decoder):
         return pos
 
 
+@functools.lru_cache(maxsize=8)
+def _command_tables(top: int, longest: int) -> tuple[dict[bytes, int], Callable]:
+    """The command tier's tag table (``*1`` to ``*<top>``) and header lookup
+    (bodies of at most ``longest`` bytes), shared by decoders with the same
+    limits rather than built per connection."""
+    tags = {b"*%d" % k: k for k in range(1, top + 1)}
+    return tags, dict(enumerate(_BULK_TAGS[: longest + 1])).get
+
+
 class RequestDecoder(_Decoder):
     """Incremental decoder for the client-to-server command stream.
 
@@ -528,6 +555,14 @@ class RequestDecoder(_Decoder):
         super().__init__(limits)
         self._argv: list[bytes] | None = None
         self._count = 0
+        # The command tier takes the tags ``*1`` to ``*255`` and the bodies
+        # under 256 bytes that are within limits, header digits included.
+        limits = self._limits
+        top = min(255, limits.max_array_length, 10 ** min(limits.max_line_length, 3) - 1)
+        self._tags, self._header = _command_tables(top, min(255, self._run_limit))
+        self._window = _RUN_WINDOW  # bytes the next command-tier run copies
+        self._stretch = 1  # commands it stands aside for after a run that does not pay
+        self._skip = 0  # commands still to go before it runs again
 
     def feed(
         self, data: bytes
@@ -563,6 +598,12 @@ class RequestDecoder(_Decoder):
                 pos, self._bulk = found[1], length
                 continue
             elif buf[pos] == 0x2A:  # *
+                if self._skip:
+                    self._skip -= 1
+                elif not self._scanned:
+                    pos = self._split_commands(buf, view, pos, out)
+                    if pos == n or buf[pos] != 0x2A:
+                        continue
                 found = self._line(pos + 1)
                 if found is None:
                     break
@@ -601,6 +642,59 @@ class RequestDecoder(_Decoder):
                 out.append(argv)
                 argv = self._argv = None
         return pos
+
+    def _split_commands(self, buf: bytearray, view: memoryview, pos: int, out: list) -> int:
+        """The command tier: append the argvs of the whole, plainly framed
+        small commands at ``pos`` and return the offset after the last one
+        taken. Called only where a command starts with ``*``, no line is
+        half-searched, and the state machine then takes the command at the
+        offset returned, so each call is followed by at least one command
+        the tier did not take.
+
+        The first tag is read before anything is copied. Then a window of
+        the buffer is split once on CRLF and walked command by command: a
+        tag in ``_tags``, then k (header, body) pairs, each header exactly
+        ``$<len(body)>`` (``_canonical``) with the body under 256 bytes and
+        within limits, the last body followed by a CRLF inside the window.
+        The tier never raises: at anything else it stops. A run pays when it
+        takes a command and stops only where the window or the buffer ends;
+        the window then grows. After any other run it shrinks back, and the
+        state machine takes a stretch of commands, doubling each time,
+        before the next try.
+        """
+        end = buf.find(CRLF, pos + 2, pos + 6)
+        if end < 0:
+            return pos
+        k = self._tags.get(view[pos:end].tobytes())
+        stop = min(len(buf), pos + self._window)
+        # A command of k items is at least 6k bytes past its tag ($0\r\n\r\n).
+        if k is None or end + 2 + 6 * k > stop:
+            return pos
+        tokens = view[pos:stop].tobytes().split(CRLF)
+        canon = _canonical(self._header, tokens)
+        last, tags, append = len(tokens) - 1, self._tags, out.append
+        at = 0
+        while True:
+            k = tags.get(tokens[at])
+            if k is None:
+                clean = at == last
+                break
+            after = at + 2 * k + 1
+            if after > last:
+                clean = True
+                break
+            if tokens[at + 1 : after : 2] != canon[at + 2 : after : 2]:
+                clean = False
+                break
+            append(tokens[at + 2 : after : 2])
+            at = after
+        if at and clean:
+            self._window, self._stretch = min(4 * self._window, _RUN_WINDOW_MAX), 1
+        else:
+            self._window, self._skip = _RUN_WINDOW, self._stretch
+            self._stretch *= 2
+        # The window less its untaken tail tokens and the CRLFs between them.
+        return stop - sum(map(len, tokens[at:])) - 2 * (last - at)
 
 
 _INLINE_ESCAPES = {

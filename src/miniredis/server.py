@@ -173,6 +173,7 @@ class Server:
         # Each live session and the task running its connection handler.
         self._sessions: dict[Session, asyncio.Task] = {}
         self._listener: asyncio.base_events.Server | None = None
+        self._stopping = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -189,7 +190,15 @@ class Server:
 
     async def stop(self) -> None:
         """Stop accepting, flush queued replies, close every session."""
+        self._stopping = True
         if self._listener is not None:
+            # Stop accepting, then give connections already accepted one loop
+            # pass to build their transports: one built after close() fails
+            # inside asyncio (3.11) and leaves its socket to the collector.
+            loop = asyncio.get_running_loop()
+            for sock in self._listener.sockets:
+                loop.remove_reader(sock.fileno())
+            await asyncio.sleep(0)
             self._listener.close()
             await self._listener.wait_closed()
             self._listener = None
@@ -205,6 +214,11 @@ class Server:
     async def _on_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._stopping:
+            # Accepted before the listener closed, but started after stop()
+            # began closing sessions: no one would close this one.
+            writer.close()
+            return
         if len(self._sessions) >= self.config.maxclients:
             writer.write(b"-ERR max number of clients reached\r\n")
             try:

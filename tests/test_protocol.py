@@ -6,6 +6,7 @@ grammar and must never be computed by the code under test.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from unittest import mock
@@ -402,23 +403,66 @@ def _nine_argument_frames(n: int) -> bytes:
     return encode(Array(tuple(map(BulkString, argv)))) * n
 
 
-# Frame shapes on which the split run of the bulk-item loop stops early or
-# gains little: (build(n), n, bytes per feed, values decoded).
+def _pipeline(argvs) -> bytes:
+    return b"".join(encode(Array(tuple(map(BulkString, argv)))) for argv in argvs)
+
+
+def _long_argument_pipeline(n: int) -> bytes:
+    return _pipeline((b"SET", b"k%05d" % i, b"v" * 300) for i in range(n))
+
+
+def _crlf_argument_pipeline(n: int) -> bytes:
+    return _pipeline((b"SET", b"k%05d" % i, b"a\r\nb") for i in range(n))
+
+
+def _wide_array_pipeline(n: int) -> bytes:
+    return _pipeline([b"SADD", b"s"] + [b"%d" % (j % 10) for j in range(298)] for _ in range(n))
+
+
+def _inline_between_commands(n: int) -> bytes:
+    return b"".join(b"PING\r\n" + _pipeline([(b"GET", b"k%05d" % i)]) for i in range(n))
+
+
+# Frame shapes on which the split run of the bulk-item loop or the command
+# tier stops early or gains little: (build(n), n, bytes per feed, values
+# decoded).
 _HOSTILE_SHAPES = {
     "alternate-bodies-hold-crlf": (_alternating_crlf_frame, 2000, 1 << 30, lambda n: 1),
     "zero-padded-headers": (_zero_padded_frame, 2000, 1 << 30, lambda n: 1),
     "100kb-bodies-in-64kib-reads": (_big_bodies_frame, 25, 1 << 16, lambda n: 1),
     "nine-argument-frames": (_nine_argument_frames, 5000, 1 << 30, lambda n: n),
+    "300-byte-arguments": (_long_argument_pipeline, 2000, 1 << 16, lambda n: n),
+    "arguments-hold-crlf": (_crlf_argument_pipeline, 2000, 1 << 16, lambda n: n),
+    "300-item-arrays": (_wide_array_pipeline, 100, 1 << 16, lambda n: n),
+    "inline-between-commands": (_inline_between_commands, 2000, 1 << 16, lambda n: 2 * n),
 }
 
 
-@pytest.mark.parametrize("shape", list(_HOSTILE_SHAPES))
-@pytest.mark.parametrize("decoder_cls", [RequestDecoder, StreamDecoder])
+@contextlib.contextmanager
+def _state_machine_only():
+    """Switch off both fast tiers: the split run and the command tier."""
+    with mock.patch.object(protocol, "_RUN_MIN", 1 << 62), mock.patch.object(
+        RequestDecoder, "_split_commands", lambda self, buf, view, pos, out: pos
+    ):
+        yield
+
+
+@pytest.mark.parametrize(
+    "decoder_cls,shape",
+    [
+        pytest.param(cls, shape, id=f"{cls.__name__}-{shape}")
+        for cls in (RequestDecoder, StreamDecoder)
+        for shape in _HOSTILE_SHAPES
+        # Inline commands are not RESP values.
+        if cls is RequestDecoder or not shape.startswith("inline")
+    ],
+)
 def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
-    # A run that fails and is retried at every item, or a window copied again
-    # on every read, shows here: as superlinear growth, or as a cost several
-    # times that of the per-item loop alone (the split run switched off).
-    # The three decodes take turns, so heap growth and drift hit all alike.
+    # A run that fails and is retried at every item or command, or a window
+    # copied again on every read, shows here: as superlinear growth, or as a
+    # cost several times that of the state machine alone (both fast tiers
+    # switched off). The three decodes take turns, so heap growth and drift
+    # hit all alike.
     build, n, chunk, values = _HOSTILE_SHAPES[shape]
     small, large = build(n), build(4 * n)
     # Built and dropped: once a block this size is freed, the C allocator
@@ -426,14 +470,14 @@ def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
     # larger decode does not alone pay fresh page faults on every repeat.
     build(4 * n)
     cases = {
-        "small": (small, values(n), protocol._RUN_MIN),
-        "large": (large, values(4 * n), protocol._RUN_MIN),
-        "loop only": (small, values(n), len(large)),
+        "small": (small, values(n), contextlib.nullcontext),
+        "large": (large, values(4 * n), contextlib.nullcontext),
+        "loop only": (small, values(n), _state_machine_only),
     }
     best = dict.fromkeys(cases, float("inf"))
     for _ in range(5):
-        for name, (wire, count, run_min) in cases.items():
-            with mock.patch.object(protocol, "_RUN_MIN", run_min):
+        for name, (wire, count, tiers) in cases.items():
+            with tiers():
                 taken = _best_chunked_decode_s(decoder_cls, wire, chunk, count, 1)
             best[name] = min(best[name], taken)
     assert best["large"] / best["small"] < 8, best
@@ -552,7 +596,7 @@ _SMALL_LIMITS = st.builds(
     max_bulk_length=st.sampled_from([5, 40, DecodeLimits.max_bulk_length]),
     max_array_length=st.sampled_from([3, 16, 64]),
     max_depth=st.sampled_from([2, 32]),
-    max_line_length=st.sampled_from([3, 8, 64]),
+    max_line_length=st.sampled_from([1, 2, 3, 8, 64]),
 )
 
 # How a bulk header spells its length: plainly, zero-padded (up to past the
@@ -635,32 +679,34 @@ def _as_plain(item):
 
 def _feed_trace(decoder, wire: bytes, cuts: list[int]):
     """Feed ``wire`` cut at ``cuts``. Return, per feed that returned, its end
-    offset, every item so far and ``pending_bytes``; and the fatal error as
-    (reason, offset, end offset of the feed that surfaced it), or None."""
+    offset, every item so far and ``pending_bytes``; the fatal error as
+    (reason, offset, end offset of the feed that surfaced it), or None; and
+    every item returned, those of a feed that also returned the error
+    included."""
     trace, seen, start = [], [], 0
     for end in cuts + [len(wire)]:
         try:
             got = decoder.feed(wire[start:end])
         except ProtocolError as exc:  # StreamDecoder raises
-            return trace, (exc.reason, exc.offset, end)
+            return trace, (exc.reason, exc.offset, end), seen
         if got and isinstance(got[-1], ProtocolError):  # RequestDecoder returns it
             exc = got.pop()
             seen += map(_as_plain, got)
-            return trace, (exc.reason, exc.offset, end)
+            return trace, (exc.reason, exc.offset, end), seen
         seen += map(_as_plain, got)
         trace.append((end, list(seen), getattr(decoder, "pending_bytes", None)))
         start = end
-    return trace, None
+    return trace, None, seen
 
 
 def _assert_cut_independent(cls, limits, wire, cuts):
     """Whole, byte by byte and at ``cuts``: the same items, pending bytes and
     fatal error, each a function of how many bytes have arrived."""
-    ref_trace, ref_error = _feed_trace(cls(limits), wire, list(range(1, len(wire))))
+    ref_trace, ref_error, ref_seen = _feed_trace(cls(limits), wire, list(range(1, len(wire))))
     by_end = {0: ([], 0 if cls is StreamDecoder else None)}
     by_end.update((end, (items, pending)) for end, items, pending in ref_trace)
     for feeding in ([], sorted(cuts)):
-        trace, error = _feed_trace(cls(limits), wire, feeding)
+        trace, error, seen = _feed_trace(cls(limits), wire, feeding)
         for end, items, pending in trace:
             assert by_end[end] == (items, pending), (end, wire)
         if ref_error is None:
@@ -672,6 +718,8 @@ def _assert_cut_independent(cls, limits, wire, cuts):
             assert error[:2] == (reason, offset), wire
             # Raised by the first feed that brought the byte exposing it.
             assert error[2] == min(e for e in feeding + [len(wire)] if e >= surfaced)
+            if cls is RequestDecoder:  # which returns the items before it too
+                assert seen == ref_seen, wire
 
 
 # Examples per cut-independence property; a deeper run sets it higher.
@@ -716,6 +764,15 @@ def test_request_decoding_is_cut_independent_on_valid_and_corrupt_streams(
     _assert_cut_independent(RequestDecoder, limits, wire, cuts)
 
 
+@contextlib.contextmanager
+def _narrow_windows():
+    """Split-run and command-tier windows of 24 to 48 bytes."""
+    with mock.patch.object(protocol, "_RUN_WINDOW", 24), mock.patch.object(
+        protocol, "_RUN_WINDOW_MAX", 48
+    ):
+        yield
+
+
 @pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
 @given(
     limits=_SMALL_LIMITS,
@@ -730,17 +787,60 @@ def test_decoding_is_cut_independent_when_split_runs_cross_window_edges(
     # Windows of a few dozen bytes end most split runs inside an item.
     wire = _mutate(b"".join(frames), mutations)
     cuts = [c for c in cuts if c <= len(wire)]
-    with mock.patch.object(protocol, "_RUN_WINDOW", 24), mock.patch.object(
-        protocol, "_RUN_WINDOW_MAX", 48
-    ):
+    with _narrow_windows():
         _assert_cut_independent(cls, limits, wire, cuts)
+
+
+# Pipelines of small commands, the command tier's traffic. Arguments are
+# mostly short; one in eight is 250 to 260 bytes (across the 256-byte edge of
+# the tier's header table) or looks like CRLFs, a header or an array start.
+_ARGUMENTS = st.integers(0, 7).flatmap(
+    lambda k: st.one_of(
+        st.binary(min_size=250, max_size=260), st.sampled_from([b"\r\n", b"$3\r\nabc", b"*1\r\n"])
+    )
+    if k == 0
+    else st.binary(max_size=8)
+)
+
+
+@st.composite
+def _pipelines(draw) -> bytes:
+    """10 to 60 commands of 1 to 4 arguments with plain headers, but for one
+    header in sixteen respelled and one command in ten an inline line."""
+    parts = []
+    for _ in range(draw(st.integers(10, 60))):
+        if draw(st.integers(0, 9)) == 0:
+            parts.append(draw(st.sampled_from([b"PING", b"GET k", b'"a', b""])) + b"\r\n")
+            continue
+        argv = draw(st.lists(_ARGUMENTS, min_size=1, max_size=4))
+        styles = [draw(_HEADER_STYLES) if draw(st.integers(0, 15)) == 0 else b"%d" for _ in argv]
+        parts.append(_bulk_frame(list(zip(argv, styles))))
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["default-window", "narrow-window"])
+@given(
+    limits=_SMALL_LIMITS,
+    wire=_pipelines(),
+    mutations=_MUTATIONS,
+    cuts=st.lists(st.integers(0, 1 << 16), max_size=8),
+)
+@settings(max_examples=_CUT_EXAMPLES, deadline=None)
+def test_pipeline_decoding_is_cut_independent_on_valid_and_corrupt_streams(
+    narrow, limits, wire, mutations, cuts
+):
+    # Narrow windows end most command-tier runs inside a command.
+    wire = _mutate(wire, mutations)
+    cuts = [c % (len(wire) + 1) for c in cuts]
+    with _narrow_windows() if narrow else contextlib.nullcontext():
+        _assert_cut_independent(RequestDecoder, limits, wire, cuts)
 
 
 def _whole_feed(cls, limits, wire):
     """Items and fatal error of one whole feed, checked against byte by byte."""
     _assert_cut_independent(cls, limits, wire, [])
-    trace, error = _feed_trace(cls(limits), wire, [])
-    return (trace[-1][1] if trace else None), error
+    _, error, seen = _feed_trace(cls(limits), wire, [])
+    return seen, error
 
 
 # Each frame below reaches a split run with a pair the run must leave to the
@@ -793,6 +893,62 @@ def test_split_run_leaves_a_nested_array_to_the_state_machine():
     wire = b"*12\r\n" + b"".join(bulks[:9]) + b"*1\r\nx\r\n" + b"".join(bulks[9:])
     _, error = _whole_feed(RequestDecoder, DecodeLimits(), wire)
     assert error == ("expected '$', got b'*'", wire.index(b"*1\r\n"), len(wire))
+
+
+# Each pipeline below reaches the command tier with a command just over a
+# limit after eight plain ones, all inside the tier's first window: the tier
+# must take those eight, stop at that command's first byte, and leave the
+# refusal to the state machine.
+
+
+def _eight_then(limits: DecodeLimits, bad_argv: list[bytes], marker: bytes):
+    good = [(b"GET", b"k%02d" % i) for i in range(8)]
+    wire = _pipeline(good + [bad_argv] + good)
+    return limits, wire, [list(argv) for argv in good], len(_pipeline(good)), marker
+
+
+_OVER_LIMITS = {
+    "tag-over-max-array-length": (
+        _eight_then(DecodeLimits(max_array_length=3), [b"DEL", b"a", b"b", b"c"], b"*4"),
+        "invalid multibulk length",
+        0,
+    ),
+    "body-over-max-bulk-length": (
+        _eight_then(DecodeLimits(max_bulk_length=40), [b"SET", b"k", b"v" * 41], b"$41"),
+        "invalid bulk length",
+        0,
+    ),
+    "header-over-max-line-length": (
+        _eight_then(DecodeLimits(max_line_length=2), [b"SET", b"k", b"v" * 100], b"$100"),
+        "line exceeds maximum length",
+        1,
+    ),
+    "tag-over-max-line-length": (
+        _eight_then(DecodeLimits(max_line_length=1), [b"DEL"] + [b"k"] * 9, b"*10"),
+        "line exceeds maximum length",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVER_LIMITS))
+def test_command_tier_leaves_commands_over_limits_to_the_state_machine(case):
+    (limits, wire, taken, bad, marker), reason, skip = _OVER_LIMITS[case]
+    stops = []
+    tier = RequestDecoder._split_commands
+
+    def spy(self, buf, view, pos, out):
+        after = tier(self, buf, view, pos, out)
+        stops.append(self._base + after)
+        return after
+
+    with mock.patch.object(RequestDecoder, "_split_commands", spy):
+        items, error = _whole_feed(RequestDecoder, limits, wire)
+    assert items == taken
+    assert bad in stops  # the tier stopped right at the command over the limit
+    assert error == (reason, wire.index(marker, bad) + skip, len(wire))
+    with _state_machine_only():
+        assert _whole_feed(RequestDecoder, limits, wire) == (items, error)
 
 
 # -- member-array replies ---------------------------------------------------

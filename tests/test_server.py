@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import queue
 import re
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import miniredis
 from miniredis.client import Connection
 from miniredis.protocol import Integer
 from miniredis.server import (
+    Server,
     ServerConfig,
     ServerThread,
     build_config,
@@ -283,6 +286,42 @@ def test_graceful_stop_flushes_pending_replies():
     rest = recv_until_closed(sock)
     assert rest in (b"", b"+PONG\r\n")
     sock.close()
+
+
+def test_connection_handler_started_after_stop_began_closes_at_once():
+    # A connection accepted just before the listener closed can have its
+    # handler start only once stop() is under way; it must not register a
+    # session that nothing would close.
+    async def scenario():
+        server = Server(ServerConfig(port=0))
+        await server.start()
+        ours, theirs = socket.socketpair()
+        stopping = asyncio.create_task(server.stop())
+        await asyncio.sleep(0)  # stop() has begun
+        reader, writer = await asyncio.open_connection(sock=ours)
+        try:
+            await asyncio.wait_for(server._on_client(reader, writer), timeout=2)
+            assert not server._sessions
+            theirs.settimeout(2)
+            assert theirs.recv(1) == b""  # closed, not left waiting for a command
+        finally:
+            writer.close()
+            theirs.close()
+            await stopping
+
+    asyncio.run(scenario())
+
+
+def test_stop_leaves_no_accepted_connection_to_the_garbage_collector():
+    # A connection accepted in the loop pass where stop() closes the listener
+    # used to fail to get a transport and leak its socket (ResourceWarning).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for _ in range(20):
+            with ServerThread(ServerConfig(port=0)) as srv:
+                socket.create_connection((srv.host, srv.port), timeout=5).close()
+            gc.collect()
+    assert not [w.message for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_subscriber_eof_is_noticed_by_broker(server):
