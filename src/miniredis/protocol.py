@@ -16,39 +16,32 @@ construction, the awaited bulk length), so no byte is parsed twice and a
 frame costs time linear in its size however finely it arrives.
 
 Both decoders are one resumable state machine that owns every check, error
-text, limit and offset. Inside an open array it hands over to
-``_Decoder._bulk_items``, which takes consecutive bulk strings that are
-already complete and plainly well formed straight out of the buffer in two
-tiers. While more than 8 items are due, a split-and-verify run copies a
-bounded window, splits it once on CRLF and checks a whole batch of
-(header, body) pairs with one list comparison against the canonical
-headers of the body lengths. Where a run stops, a per-item loop (one regex
-match per header) goes on at the same byte. Neither raises: at anything
-else (a cut or unusual header, another type byte, a bad terminator, a
-length over a limit) they stop, and the state machine resumes at that
-byte.
+text, limit and offset. Complete, plainly framed input is taken past it by
+one split routine (``_Decoder._split``): it copies a bounded window, splits
+it once on CRLF and compares each header with one table of ``$<len>`` for
+bodies under 256 bytes within the limits. The decoder's state picks what it
+takes: with an array open, that array's next items; where a
+``RequestDecoder`` command starts, whole commands tagged ``*1`` to ``*255``.
+A per-item loop (one regex match per header) takes what the split leaves
+inside arrays: arrays with 8 items or fewer due, longer bodies, and the
+stretches the split stands aside for. Neither raises: at anything else they
+stop, and the state machine resumes at that byte.
 
-``RequestDecoder`` adds a command tier in front of the state machine, for
-pipelines of small commands. Where a command starts and nothing is half
-decoded, it reads the first ``*<k>`` tag, copies a bounded window, splits
-it once on CRLF and takes every whole command in it whose tag has 1 to 255
-items and whose headers are the canonical ``$<len>`` of bodies under 256
-bytes, all within the limits. It too never raises: inline lines, other
-arrays, long or odd items, commands cut by the window or the read, and
-every refusal are left to the state machine. After a run that takes
-nothing or stops short of its window, the tier stands aside for a doubling
-stretch of commands. Array replies of raw members (``MemberArray``) are
-framed like commands, with no value per member.
+Where the split does not pay, it backs off for a stretch of items or
+commands that doubles each time, so frames that defeat it cost a few small
+window copies, not one per item. That back-off belongs to the array or the
+run of commands that earned it and starts afresh with the next. Array
+replies of raw members (``MemberArray``) are framed like commands, with no
+value per member.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
-from operator import ne, or_
-from typing import Callable, Sequence
+from operator import ne
+from typing import Sequence
 
 from .errors import InlineCommandError, ProtocolError
 
@@ -157,11 +150,17 @@ def encode(value: ProtocolValue) -> bytes:
 
 
 # Headers of short bulk strings, built once, so framing an array of short
-# members allocates nothing per member and a split run checks a short body
-# with one lookup. Without CRLF as a list, whose ``__getitem__`` is a plain
-# method and so cheaper to map than a tuple's slot wrapper.
-_BULK_TAGS = [b"$%d" % size for size in range(256)]
+# members allocates nothing per member and the split checks a short body
+# with one lookup; and the command tags the split takes.
+_BULK_TAGS = tuple(b"$%d" % size for size in range(256))
 _SHORT_BULK_HEADERS = tuple(tag + CRLF for tag in _BULK_TAGS)
+_HEADERS = dict(enumerate(_BULK_TAGS))
+_TAGS = {b"*%d" % k: k for k in range(1, 256)}
+
+
+def _admitted(limit: int, digits: int) -> int:
+    """How many of the counts 0 to 255 are within ``limit`` and ``digits``."""
+    return max(0, min(256, limit + 1, 10 ** min(digits, 3) if digits > 0 else 0))
 
 
 def encode_command(argv: Sequence[bytes]) -> bytearray:
@@ -227,7 +226,7 @@ def _decode_line_text(line: bytes | bytearray, offset: int, what: str) -> str:
 
 
 class _Decoder:
-    """Input buffer, absolute offsets and line framing of both decoders.
+    """Input buffer, absolute offsets, line framing and split of both decoders.
 
     ``_buf`` holds only the bytes not yet folded into a value or into the
     partial state a subclass keeps between feeds; ``_base`` is the stream
@@ -236,17 +235,21 @@ class _Decoder:
     """
 
     def __init__(self, limits: DecodeLimits | None = None):
-        self._limits = limits or DEFAULT_LIMITS
+        self._limits = limits = limits or DEFAULT_LIMITS
         self._buf = bytearray()
         self._base = 0
         self._scanned = 0
         self._bulk = -1  # length of the bulk body being awaited, else -1
         self._broken = False
-        # The longest body a split run may take: within max_bulk_length, and
-        # with no more digits than max_line_length allows in its header.
-        digits = self._limits.max_line_length
-        longest = 10 ** min(digits, 19) - 1 if digits > 0 else -1
-        self._run_limit = min(self._limits.max_bulk_length, longest)
+        # The split's header of each body length it takes (under 256 bytes,
+        # within the limits); other lengths give None, which equals no header.
+        size = _admitted(limits.max_bulk_length, limits.max_line_length)
+        self._header = (_HEADERS if size == 256 else dict(enumerate(_BULK_TAGS[:size]))).get
+        # The back-off: what earned it (the array being filled, or the
+        # decoder for command starts), the bytes the next split copies, the
+        # stretch its next miss stands aside for, and what is left of it.
+        self._owner: object = None
+        self._window, self._stretch, self._skip = _RUN_WINDOW, 1, 0
 
     def _decode(self, data: bytes, out: list) -> None:
         """Run the subclass's ``_run(buf, view, out)``, which appends every
@@ -294,51 +297,33 @@ class _Decoder:
     def _bulk_items(
         self, buf: bytearray, view: memoryview, pos: int, items: list, count: int
     ) -> int:
-        """Append the bodies of the complete ``$<digits>\r\n<body>\r\n``
-        items at ``pos`` until ``items`` holds ``count``; return the offset
-        after the last one taken. Called only right after a header or value
-        completed, so no half-searched line (``_scanned``) is pending.
-
-        Two tiers take items and neither raises; where both stop, the state
-        machine resumes at that byte and alone raises. While more than
-        ``_RUN_MIN`` items are due, split-and-verify runs (``_split_run``)
-        take batches of items from a window of the buffer. A run pays when
-        it takes every complete item in its window, with at most
-        ``_RUN_ITEM_BYTES`` of window per item; the window then grows.
-        After any other run the window shrinks back and the per-item loop
-        (``_by_header``) takes a stretch of items that doubles each time.
-        That loop also takes the first item of a call, and goes on in
-        doubling stretches while its items average more than
-        ``_RUN_ITEM_BYTES``. So frames that defeat the run (bodies holding
-        CRLF, padded headers, large bodies) cost a few small window copies
-        over the per-item loop, not one per item or per read.
-        """
-        due = count - len(items)
-        if due <= _RUN_MIN:
-            return self._by_header(buf, view, pos, items, due)
-        window, stretch, slow = _RUN_WINDOW, _RUN_MIN, 1
-        while due:
-            began = pos
-            if slow or due < _RUN_MIN:
-                size = min(slow, due) if slow else due
-                pos = self._by_header(buf, view, pos, items, size)
-                taken = len(items) + due - count
-                if taken < size:
-                    break
-                if slow and pos - began > _RUN_ITEM_BYTES * taken:
-                    stretch, slow = 2 * stretch, stretch
-                else:
-                    slow = 0
-            else:
-                stop = min(len(buf), pos + window)
-                pos, clean = _split_run(view, pos, stop, due, self._run_limit, items)
-                taken = len(items) + due - count
-                if clean and stop - began <= _RUN_ITEM_BYTES * taken:
-                    window, stretch = min(4 * window, _RUN_WINDOW_MAX), _RUN_MIN
-                else:
-                    window, stretch, slow = _RUN_WINDOW, 2 * stretch, stretch
-            due -= taken
-        return pos
+        """Append the bodies of the complete bulk items at ``pos`` until
+        ``items`` holds ``count``; return the offset after the last one
+        taken. Called only right after a header or value completed, so no
+        half-searched line (``_scanned``) is pending. While more than
+        ``_RUN_MIN`` items are due the split takes them, and the per-item
+        loop the stretches it stands aside for and the rest."""
+        while True:
+            due = count - len(items)
+            if due <= _RUN_MIN:
+                pos = self._by_header(buf, view, pos, items, due)
+                if len(items) == count and self._owner is items:
+                    self._owner = None  # its back-off ends with the array
+                return pos
+            taken = len(items)
+            pos = self._split(buf, view, pos, items, due)
+            if len(items) > taken:
+                continue
+            # Standing aside, or nothing in the rest of the buffer is whole.
+            size, began = min(self._skip, due) or due, pos
+            pos = self._by_header(buf, view, pos, items, size)
+            taken = len(items) - taken
+            self._skip = max(self._skip - taken, 0)
+            if taken < size:
+                return pos
+            # Items too long for the split's table: stand aside again at once.
+            if not self._skip and pos - began >= len(_BULK_TAGS) * taken:
+                self._skip, self._stretch = self._stretch, 2 * self._stretch
 
     def _by_header(
         self, buf: bytearray, view: memoryview, pos: int, items: list, size: int
@@ -371,57 +356,74 @@ class _Decoder:
             pos = end + 2
         return pos
 
+    def _split(
+        self, buf: bytearray, view: memoryview, pos: int, items: list, due: int
+    ) -> int:
+        """Append to ``items`` what one window of the buffer at ``pos`` holds
+        complete and plainly framed; return the offset after the last thing
+        taken. Never raises: at anything else it stops.
 
-# Items that must still be due before a split run is worth its set-up; the
-# first and largest window (bytes) a run copies and splits; and the mean item
-# size above which a run costs more than the per-item loop.
+        The window is copied and split once on CRLF. A header counts only if
+        it is the ``_header`` of its body's length, so the body holds no
+        CRLF, the header no other spelling, and both are within the limits;
+        a body counts only if a CRLF follows it inside the window. With an
+        array open (``due`` items to come), tokens pair up as header and
+        body, and up to ``due`` bodies are taken. At a ``RequestDecoder``
+        command start (``due`` 0), each whole command tagged in ``_tags``.
+
+        A split pays if it stops only where the window ends, having taken
+        more than half of it: the window grows. If it stops only at the end
+        of the buffer without paying, the rest has not arrived and nothing
+        changes. After any other the window shrinks back and the split stands
+        aside for a stretch of items (``_bulk_items``) or commands (the state
+        machine), doubling each time. All of this belongs to one array, and
+        ends with it, or to the command starts; it starts afresh when the
+        split moves on."""
+        owner = items if due else self
+        if self._owner is not owner:
+            self._owner, self._window, self._stretch, self._skip = owner, _RUN_WINDOW, 1, 0
+        if self._skip:
+            if not due:  # the state machine takes this command
+                self._skip -= 1
+            return pos
+        stop = min(len(buf), pos + self._window)
+        if due:
+            tokens = view[pos:stop].tobytes().split(CRLF, 2 * due)
+            pairs = (len(tokens) - 1) // 2
+            heads, bodies = tokens[0 : 2 * pairs : 2], tokens[1 : 2 * pairs : 2]
+            canon = list(map(self._header, map(len, bodies)))
+            good = pairs
+            if canon != heads:
+                good = next(itertools.compress(itertools.count(), map(ne, heads, canon)))
+            items += bodies[:good]
+            at, clean = 2 * good, good == pairs
+        else:
+            tokens = view[pos:stop].tobytes().split(CRLF)
+            canon = list(map(self._header, map(len, tokens)))
+            last, tags, append = len(tokens) - 1, self._tags, items.append
+            at = 0
+            while k := tags.get(tokens[at]):
+                after = at + 2 * k + 1
+                if after > last or tokens[at + 1 : after : 2] != canon[at + 2 : after : 2]:
+                    break
+                append(tokens[at + 2 : after : 2])
+                at = after
+            clean = after > last if k else at == last  # stopped at the cut tail
+        # The window less its untaken tail tokens and the CRLFs between them.
+        end = stop - sum(map(len, tokens[at:])) - 2 * (len(tokens) - 1 - at)
+        if clean and 2 * (end - pos) > stop - pos:
+            self._window, self._stretch = min(4 * self._window, _RUN_WINDOW_MAX), 1
+        elif not clean or stop < len(buf):
+            self._window, self._skip = _RUN_WINDOW, self._stretch
+            self._stretch *= 2
+        return end
+
+
+# Items that must still be due before a split is worth its set-up, and the
+# first and largest window (bytes) a split copies.
 _RUN_MIN = 8
 _RUN_WINDOW = 512
 _RUN_WINDOW_MAX = 16 * 1024
-_RUN_ITEM_BYTES = 256
-
-
-def _canonical(header: Callable[[int], bytes | None], bodies: list[bytes]) -> list:
-    """The canonical header ``$<len(body)>`` of each body, which ``header``
-    gives for a length (an entry of ``_BULK_TAGS``, or None to refuse it)."""
-    return list(map(header, map(len, bodies)))
-
-
-def _split_run(
-    view: memoryview, pos: int, stop: int, need: int, limit: int, items: list
-) -> tuple[int, bool]:
-    """Append the bodies of the leading canonically framed bulk items in
-    ``view[pos:stop]``, at most ``need``; return the offset after the last
-    one taken and whether every complete item in the window was taken.
-
-    The window is split once on CRLF; even tokens are headers, odd tokens
-    bodies, and only pairs followed by a CRLF count. A pair is taken while
-    its header is exactly ``$<len(body)>`` (so the body holds no CRLF and
-    the header no padding, sign or other spelling) and the length is at
-    most ``limit``; the first pair that is not ends the run. Taken pairs
-    frame exactly as the state machine would frame them.
-    """
-    tokens = view[pos:stop].tobytes().split(CRLF, 2 * need)
-    pairs = (len(tokens) - 1) // 2
-    if not pairs:
-        return pos, False
-    heads, bodies = tokens[0 : 2 * pairs : 2], tokens[1 : 2 * pairs : 2]
-    try:
-        canon = _canonical(_BULK_TAGS.__getitem__, bodies)
-    except IndexError:  # a body of 256 bytes or more
-        canon = _canonical(b"$%d".__mod__, bodies)
-    # Under the default limits no body that fits the window is too long.
-    if canon == heads and (limit >= stop - pos or max(map(len, bodies)) <= limit):
-        items += bodies
-        # The window less its unpaired tail tokens and the CRLFs between them.
-        tail = tokens[2 * pairs :]
-        return stop - sum(map(len, tail)) - 2 * len(tail) + 2, True
-    sizes = list(map(len, bodies))
-    bad = map(or_, map(ne, heads, canon), map(limit.__lt__, sizes))
-    good = next(itertools.compress(itertools.count(), bad))
-    items += bodies[:good]
-    return pos + 4 * good + sum(sizes[:good]) + sum(map(len, heads[:good])), False
-
 
 _MARKERS = b"+-:$*"
 
@@ -511,27 +513,17 @@ class StreamDecoder(_Decoder):
             while stack:
                 items, count = stack[-1]
                 items.append(value)
+                taken = len(items)
+                pos = self._bulk_items(buf, view, pos, items, count)
+                items[taken:] = map(BulkString, items[taken:])
                 if len(items) < count:
-                    taken = len(items)
-                    pos = self._bulk_items(buf, view, pos, items, count)
-                    items[taken:] = map(BulkString, items[taken:])
-                    if len(items) < count:
-                        break
+                    break
                 stack.pop()
                 value = Array(tuple(items))
             else:
                 out.append(value)
                 self._done = base + pos
         return pos
-
-
-@functools.lru_cache(maxsize=8)
-def _command_tables(top: int, longest: int) -> tuple[dict[bytes, int], Callable]:
-    """The command tier's tag table (``*1`` to ``*<top>``) and header lookup
-    (bodies of at most ``longest`` bytes), shared by decoders with the same
-    limits rather than built per connection."""
-    tags = {b"*%d" % k: k for k in range(1, top + 1)}
-    return tags, dict(enumerate(_BULK_TAGS[: longest + 1])).get
 
 
 class RequestDecoder(_Decoder):
@@ -555,14 +547,10 @@ class RequestDecoder(_Decoder):
         super().__init__(limits)
         self._argv: list[bytes] | None = None
         self._count = 0
-        # The command tier takes the tags ``*1`` to ``*255`` and the bodies
-        # under 256 bytes that are within limits, header digits included.
-        limits = self._limits
-        top = min(255, limits.max_array_length, 10 ** min(limits.max_line_length, 3) - 1)
-        self._tags, self._header = _command_tables(top, min(255, self._run_limit))
-        self._window = _RUN_WINDOW  # bytes the next command-tier run copies
-        self._stretch = 1  # commands it stands aside for after a run that does not pay
-        self._skip = 0  # commands still to go before it runs again
+        # The command tags the split takes: ``*1`` to ``*255``, within the
+        # limits, digits included.
+        size = _admitted(self._limits.max_array_length, self._limits.max_line_length)
+        self._tags = _TAGS if size == 256 else {tag: k for tag, k in _TAGS.items() if k < size}
 
     def feed(
         self, data: bytes
@@ -598,11 +586,9 @@ class RequestDecoder(_Decoder):
                 pos, self._bulk = found[1], length
                 continue
             elif buf[pos] == 0x2A:  # *
-                if self._skip:
-                    self._skip -= 1
-                elif not self._scanned:
-                    pos = self._split_commands(buf, view, pos, out)
-                    if pos == n or buf[pos] != 0x2A:
+                if not self._scanned:
+                    start, pos = pos, self._split(buf, view, pos, out, 0)
+                    if pos > start:
                         continue
                 found = self._line(pos + 1)
                 if found is None:
@@ -642,59 +628,6 @@ class RequestDecoder(_Decoder):
                 out.append(argv)
                 argv = self._argv = None
         return pos
-
-    def _split_commands(self, buf: bytearray, view: memoryview, pos: int, out: list) -> int:
-        """The command tier: append the argvs of the whole, plainly framed
-        small commands at ``pos`` and return the offset after the last one
-        taken. Called only where a command starts with ``*``, no line is
-        half-searched, and the state machine then takes the command at the
-        offset returned, so each call is followed by at least one command
-        the tier did not take.
-
-        The first tag is read before anything is copied. Then a window of
-        the buffer is split once on CRLF and walked command by command: a
-        tag in ``_tags``, then k (header, body) pairs, each header exactly
-        ``$<len(body)>`` (``_canonical``) with the body under 256 bytes and
-        within limits, the last body followed by a CRLF inside the window.
-        The tier never raises: at anything else it stops. A run pays when it
-        takes a command and stops only where the window or the buffer ends;
-        the window then grows. After any other run it shrinks back, and the
-        state machine takes a stretch of commands, doubling each time,
-        before the next try.
-        """
-        end = buf.find(CRLF, pos + 2, pos + 6)
-        if end < 0:
-            return pos
-        k = self._tags.get(view[pos:end].tobytes())
-        stop = min(len(buf), pos + self._window)
-        # A command of k items is at least 6k bytes past its tag ($0\r\n\r\n).
-        if k is None or end + 2 + 6 * k > stop:
-            return pos
-        tokens = view[pos:stop].tobytes().split(CRLF)
-        canon = _canonical(self._header, tokens)
-        last, tags, append = len(tokens) - 1, self._tags, out.append
-        at = 0
-        while True:
-            k = tags.get(tokens[at])
-            if k is None:
-                clean = at == last
-                break
-            after = at + 2 * k + 1
-            if after > last:
-                clean = True
-                break
-            if tokens[at + 1 : after : 2] != canon[at + 2 : after : 2]:
-                clean = False
-                break
-            append(tokens[at + 2 : after : 2])
-            at = after
-        if at and clean:
-            self._window, self._stretch = min(4 * self._window, _RUN_WINDOW_MAX), 1
-        else:
-            self._window, self._skip = _RUN_WINDOW, self._stretch
-            self._stretch *= 2
-        # The window less its untaken tail tokens and the CRLFs between them.
-        return stop - sum(map(len, tokens[at:])) - 2 * (last - at)
 
 
 _INLINE_ESCAPES = {

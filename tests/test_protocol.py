@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import contextlib
 import os
+import random
 import time
+import weakref
 from unittest import mock
 
 import pytest
@@ -30,6 +32,7 @@ from miniredis.protocol import (
     SimpleString,
     StreamDecoder,
     encode,
+    encode_command,
     tokenize_inline,
 )
 
@@ -423,8 +426,8 @@ def _inline_between_commands(n: int) -> bytes:
     return b"".join(b"PING\r\n" + _pipeline([(b"GET", b"k%05d" % i)]) for i in range(n))
 
 
-# Frame shapes on which the split run of the bulk-item loop or the command
-# tier stops early or gains little: (build(n), n, bytes per feed, values
+# Frame shapes on which the split, filling an array or taking commands,
+# stops early or gains little: (build(n), n, bytes per feed, values
 # decoded).
 _HOSTILE_SHAPES = {
     "alternate-bodies-hold-crlf": (_alternating_crlf_frame, 2000, 1 << 30, lambda n: 1),
@@ -440,10 +443,12 @@ _HOSTILE_SHAPES = {
 
 @contextlib.contextmanager
 def _state_machine_only():
-    """Switch off both fast tiers: the split run and the command tier."""
-    with mock.patch.object(protocol, "_RUN_MIN", 1 << 62), mock.patch.object(
-        RequestDecoder, "_split_commands", lambda self, buf, view, pos, out: pos
-    ):
+    """Switch off the split in both modes, so the per-item loop and the
+    state machine take everything."""
+    def split(self, buf, view, pos, items, due):
+        return pos
+
+    with mock.patch.object(protocol._Decoder, "_split", split):
         yield
 
 
@@ -458,11 +463,11 @@ def _state_machine_only():
     ],
 )
 def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
-    # A run that fails and is retried at every item or command, or a window
+    # A split that fails and is retried at every item or command, or a window
     # copied again on every read, shows here: as superlinear growth, or as a
-    # cost several times that of the state machine alone (both fast tiers
-    # switched off). The three decodes take turns, so heap growth and drift
-    # hit all alike.
+    # cost several times that of the per-item loop and the state machine (the
+    # split switched off). The three decodes take turns, so heap growth and
+    # drift hit all alike.
     build, n, chunk, values = _HOSTILE_SHAPES[shape]
     small, large = build(n), build(4 * n)
     # Built and dropped: once a block this size is freed, the C allocator
@@ -482,6 +487,61 @@ def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
             best[name] = min(best[name], taken)
     assert best["large"] / best["small"] < 8, best
     assert best["small"] / best["loop only"] < 2, best
+
+
+def _reads(wire: bytes, size: int = 1 << 16) -> list[bytes]:
+    return [wire[i : i + size] for i in range(0, len(wire), size)]
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_split_back_off_does_not_outlive_its_frame(cls):
+    # A 10 000-member array in which every other member holds CRLF makes the
+    # split stand aside for stretches that double to thousands of items. The
+    # frames after it must find the split afresh: it takes at least 90 % of
+    # their commands (RequestDecoder) or items (StreamDecoder).
+    members = [b"a\r\nb" if i % 2 else b"m%06d" % i for i in range(10_000)]
+    hostile = bytes(encode_command([b"SADD", b"s", *members]))
+    if cls is RequestDecoder:
+        batch = [(b"GET", b"k%02d" % j) for j in range(16)]
+        batch += [(b"SET", b"k%02d" % j, b"v" * 16) for j in range(16)]
+        feeds = [_pipeline(batch)] * 64
+        want = [list(argv) for argv in batch] * 64
+        total = len(want)
+    else:
+        plain = [b"m%06d" % i for i in range(10_000)]
+        feeds = _reads(bytes(encode_command(plain)))
+        want = [Array(tuple(map(BulkString, plain)))]
+        total = len(plain)
+    argv = [b"SADD", b"s", *members]
+    decoder = cls()
+    assert [item for read in _reads(hostile) for item in decoder.feed(read)] == (
+        [argv] if cls is RequestDecoder else [Array(tuple(map(BulkString, argv)))]
+    )
+    taken = 0
+    split = protocol._Decoder._split
+
+    def spy(self, buf, view, pos, items, due):
+        nonlocal taken
+        before = len(items)
+        after = split(self, buf, view, pos, items, due)
+        if (cls is StreamDecoder) == bool(due):  # items, or commands
+            taken += len(items) - before
+        return after
+
+    with mock.patch.object(protocol._Decoder, "_split", spy):
+        assert [item for feed in feeds for item in decoder.feed(feed)] == want
+    assert taken >= 0.9 * total, (taken, total)
+
+
+def test_decoder_keeps_no_reference_to_an_array_it_returned():
+    # The split's back-off ends with its array. A decoder that held on to the
+    # array until the next one would keep every item of a large reply alive
+    # after the caller dropped it.
+    decoder = StreamDecoder()
+    [value] = decoder.feed(bytes(encode_command([b"m%04d" % i for i in range(1000)])))
+    first = weakref.ref(value.items[0])
+    del value
+    assert first() is None
 
 
 # -- inline tokenizer -------------------------------------------------------
@@ -591,20 +651,21 @@ def test_request_roundtrip_any_chunking(argvs, data):
 
 # -- the bulk-item loop against the state machine ---------------------------
 
+_SMALL_LIMIT_VALUES = {
+    "max_bulk_length": [5, 40, DecodeLimits.max_bulk_length],
+    "max_array_length": [3, 16, 64],
+    "max_depth": [2, 32],
+    "max_line_length": [1, 2, 3, 8, 64],
+}
 _SMALL_LIMITS = st.builds(
-    DecodeLimits,
-    max_bulk_length=st.sampled_from([5, 40, DecodeLimits.max_bulk_length]),
-    max_array_length=st.sampled_from([3, 16, 64]),
-    max_depth=st.sampled_from([2, 32]),
-    max_line_length=st.sampled_from([1, 2, 3, 8, 64]),
+    DecodeLimits, **{name: st.sampled_from(values) for name, values in _SMALL_LIMIT_VALUES.items()}
 )
 
 # How a bulk header spells its length: plainly, zero-padded (up to past the
-# 18 digits the bulk-item loop takes), or in forms only the state machine
+# 18 digits the per-item loop takes), or in forms only the state machine
 # may judge.
-_HEADER_STYLES = st.sampled_from(
-    [b"%d", b"0%d", b"%020d", b"00000000000000000%d", b"+%d", b" %d", b"%d_"]
-)
+_STYLES = [b"%d", b"0%d", b"%020d", b"00000000000000000%d", b"+%d", b" %d", b"%d_"]
+_HEADER_STYLES = st.sampled_from(_STYLES)
 
 
 def _bulk_frame(members_and_styles) -> bytes:
@@ -617,7 +678,7 @@ def _bulk_frame(members_and_styles) -> bytes:
 
 # Bodies: mostly short binary; one in eight either looks like CRLFs, a
 # header or an array start to a splitter, or is 256 bytes or more, so its
-# header is not in the split run's table.
+# header is not in the split's table.
 _ODD_BODIES = st.one_of(
     st.sampled_from([b"\r\n", b"$3\r\nabc", b"*1\r\n"]),
     st.binary(min_size=256, max_size=300),
@@ -629,7 +690,7 @@ _BODIES = st.integers(0, 7).flatmap(
 
 @st.composite
 def _bulk_frames(draw) -> bytes:
-    """2 to 40 items, so split runs (from 8 items due) start, stop and
+    """2 to 40 items, so splits (from 8 items due) start, stop and
     resume: plain headers, with any number of them respelled in the other
     styles (a few, often, so runs of plain headers are common)."""
     size = draw(st.integers(2, 40))
@@ -766,7 +827,7 @@ def test_request_decoding_is_cut_independent_on_valid_and_corrupt_streams(
 
 @contextlib.contextmanager
 def _narrow_windows():
-    """Split-run and command-tier windows of 24 to 48 bytes."""
+    """Split windows of 24 to 48 bytes, in both modes."""
     with mock.patch.object(protocol, "_RUN_WINDOW", 24), mock.patch.object(
         protocol, "_RUN_WINDOW_MAX", 48
     ):
@@ -780,20 +841,21 @@ def _narrow_windows():
     mutations=_MUTATIONS,
     cuts=st.lists(st.integers(0, 400), max_size=8),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_CUT_EXAMPLES // 2, deadline=None)
 def test_decoding_is_cut_independent_when_split_runs_cross_window_edges(
     cls, limits, frames, mutations, cuts
 ):
-    # Windows of a few dozen bytes end most split runs inside an item.
+    # Windows of a few dozen bytes end most splits inside an item.
     wire = _mutate(b"".join(frames), mutations)
     cuts = [c for c in cuts if c <= len(wire)]
     with _narrow_windows():
         _assert_cut_independent(cls, limits, wire, cuts)
 
 
-# Pipelines of small commands, the command tier's traffic. Arguments are
-# mostly short; one in eight is 250 to 260 bytes (across the 256-byte edge of
-# the tier's header table) or looks like CRLFs, a header or an array start.
+# Pipelines of small commands, which the split takes at command starts.
+# Arguments are mostly short; one in eight is 250 to 260 bytes (across the
+# 256-byte edge of the split's header table) or looks like CRLFs, a header or
+# an array start.
 _ARGUMENTS = st.integers(0, 7).flatmap(
     lambda k: st.one_of(
         st.binary(min_size=250, max_size=260), st.sampled_from([b"\r\n", b"$3\r\nabc", b"*1\r\n"])
@@ -829,11 +891,72 @@ def _pipelines(draw) -> bytes:
 def test_pipeline_decoding_is_cut_independent_on_valid_and_corrupt_streams(
     narrow, limits, wire, mutations, cuts
 ):
-    # Narrow windows end most command-tier runs inside a command.
+    # Narrow windows end most command-mode splits inside a command.
     wire = _mutate(wire, mutations)
     cuts = [c % (len(wire) + 1) for c in cuts]
     with _narrow_windows() if narrow else contextlib.nullcontext():
         _assert_cut_independent(RequestDecoder, limits, wire, cuts)
+
+
+# Streams long enough for the split's window to reach its 16 KiB cap, which
+# the few-KiB inputs of the properties above seldom do.
+
+
+def _long_stream(rng: random.Random, cls) -> bytes:
+    """64 to 256 KiB of arrays of 1 to 300 bulk items, most of them short
+    commands, then up to three mutations. Bodies are short, 240 to 600 bytes
+    or hold CRLF, in shares drawn per stream, and one header in 32 is zero
+    padded. Inline lines (requests) or other values, also inside arrays
+    (replies), come in between."""
+    odd, wide = rng.choice([0.001, 0.01, 0.05, 0.2]), rng.choice([0.01, 0.1, 0.3])
+    others = [b":7\r\n", b"+OK\r\n", b"$2\r\nhi\r\n", b"$-1\r\n", b"*-1\r\n", b"*1\r\n$1\r\nx\r\n"]
+    between = [b"PING\r\n", b"GET k\n", b'"a\r\n'] if cls is RequestDecoder else others
+    parts, size = [], rng.randint(64 << 10, 256 << 10)
+    while size > 0:
+        if rng.random() < 0.1:
+            parts.append(rng.choice(between))
+            size -= len(parts[-1])
+            continue
+        count = rng.randint(9, 300) if rng.random() < wide else rng.randint(1, 8)
+        parts.append(b"*%d\r\n" % count)
+        for _ in range(count):
+            kind = rng.random() / odd
+            if cls is StreamDecoder and kind < 0.1:
+                parts.append(rng.choice(others))
+                continue
+            if kind < 0.6:
+                body = rng.randbytes(rng.randint(240, 600))
+            elif kind < 1:
+                body = rng.choice([b"\r\n", b"a\r\nb", b"$3\r\nabc", b"*1\r\n"])
+            else:
+                body = rng.randbytes(rng.randint(0, 16))
+            # Zero-padded: valid, but not a header the split takes.
+            style = rng.choice(_STYLES[1:4]) if rng.random() < 1 / 32 else b"%d"
+            parts.append(b"$" + style % len(body) + b"\r\n" + body + b"\r\n")
+            size -= len(body) + 8
+    wire = b"".join(parts)
+    kinds = ["replace", "drop", "insert"]
+    mutations = [
+        (rng.choice(kinds), rng.randrange(len(wire) + 1), rng.choice(_PIECES))
+        for _ in range(rng.randint(0, 3))
+    ]
+    return _mutate(wire, mutations)
+
+
+@pytest.mark.parametrize("seed", range(_CUT_EXAMPLES // 30))
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_long_streams_decode_alike_with_the_split_on_and_off(cls, seed):
+    # The split takes only what the per-item loop and the state machine
+    # would take anyway: at the same cuts, the same items, pending bytes,
+    # fatal error and offset, whether the split runs or not.
+    rng = random.Random(seed)
+    wire = _long_stream(rng, cls)
+    cuts = sorted(rng.sample(range(1, len(wire)), rng.randint(16, 256)))
+    small = DecodeLimits(**{name: rng.choice(v) for name, v in _SMALL_LIMIT_VALUES.items()})
+    for limits in (DecodeLimits(), small):
+        split_on = _feed_trace(cls(limits), wire, cuts)
+        with _state_machine_only():
+            assert _feed_trace(cls(limits), wire, cuts) == split_on
 
 
 def _whole_feed(cls, limits, wire):
@@ -843,8 +966,8 @@ def _whole_feed(cls, limits, wire):
     return seen, error
 
 
-# Each frame below reaches a split run with a pair the run must leave to the
-# state machine; the run keeps every limit and framing check it relies on.
+# Each frame below reaches a split with a pair it must leave to the state
+# machine; the split keeps every limit and framing check it relies on.
 
 
 @pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
@@ -888,6 +1011,15 @@ def test_split_run_leaves_an_integer_item_to_the_state_machine():
     assert values == [Array((*members[:9], Integer(1), SimpleString(""), members[9]))]
 
 
+def test_split_stops_at_the_end_of_its_array():
+    # After the array's last item comes a bulk reply, framed as plainly as
+    # an item: the split must not take it into the array.
+    items = tuple(BulkString(b"m%d" % i) for i in range(10))
+    wire = encode(Array(items)) + encode(BulkString(b"hi"))
+    values, error = _whole_feed(StreamDecoder, DecodeLimits(), wire)
+    assert (values, error) == ([Array(items), BulkString(b"hi")], None)
+
+
 def test_split_run_leaves_a_nested_array_to_the_state_machine():
     bulks = [encode(BulkString(b"m%d" % i)) for i in range(11)]
     wire = b"*12\r\n" + b"".join(bulks[:9]) + b"*1\r\nx\r\n" + b"".join(bulks[9:])
@@ -895,8 +1027,8 @@ def test_split_run_leaves_a_nested_array_to_the_state_machine():
     assert error == ("expected '$', got b'*'", wire.index(b"*1\r\n"), len(wire))
 
 
-# Each pipeline below reaches the command tier with a command just over a
-# limit after eight plain ones, all inside the tier's first window: the tier
+# Each pipeline below reaches the split at a command start with a command just
+# over a limit after eight plain ones, all inside its first window: the split
 # must take those eight, stop at that command's first byte, and leave the
 # refusal to the state machine.
 
@@ -935,17 +1067,18 @@ _OVER_LIMITS = {
 def test_command_tier_leaves_commands_over_limits_to_the_state_machine(case):
     (limits, wire, taken, bad, marker), reason, skip = _OVER_LIMITS[case]
     stops = []
-    tier = RequestDecoder._split_commands
+    split = protocol._Decoder._split
 
-    def spy(self, buf, view, pos, out):
-        after = tier(self, buf, view, pos, out)
-        stops.append(self._base + after)
+    def spy(self, buf, view, pos, items, due):
+        after = split(self, buf, view, pos, items, due)
+        if not due:  # a command start
+            stops.append(self._base + after)
         return after
 
-    with mock.patch.object(RequestDecoder, "_split_commands", spy):
+    with mock.patch.object(protocol._Decoder, "_split", spy):
         items, error = _whole_feed(RequestDecoder, limits, wire)
     assert items == taken
-    assert bad in stops  # the tier stopped right at the command over the limit
+    assert bad in stops  # the split stopped right at the command over the limit
     assert error == (reason, wire.index(marker, bad) + skip, len(wire))
     with _state_machine_only():
         assert _whole_feed(RequestDecoder, limits, wire) == (items, error)
