@@ -30,9 +30,11 @@ stop, and the state machine resumes at that byte.
 Where the split does not pay, it backs off for a stretch of items or
 commands that doubles each time, so frames that defeat it cost a few small
 window copies, not one per item. That back-off belongs to the array or the
-run of commands that earned it and starts afresh with the next. Array
-replies of raw members (``MemberArray``) are framed like commands, with no
-value per member.
+run of commands that earned it and starts afresh with the next.
+
+The server frames its replies straight from the command table's results
+(``encode_bulk``, ``encode_command``) and keeps the typed values and
+``encode`` for pub/sub deliveries and error replies.
 """
 
 from __future__ import annotations
@@ -98,29 +100,6 @@ class Array:
             object.__setattr__(self, "items", tuple(self.items))
 
 
-class MemberArray(Array):
-    """An array reply of bulk strings, held as the raw member bytes.
-
-    The encoder frames it as commands are framed (``encode_command``) and
-    never wraps a member; ``items`` builds the BulkString form on demand,
-    and the value compares equal to an Array of those BulkStrings.
-    """
-
-    def __init__(self, members: tuple[bytes, ...]):
-        object.__setattr__(self, "members", members)
-
-    @property
-    def items(self) -> tuple[BulkString, ...]:
-        return tuple(map(BulkString, self.members))
-
-    def __eq__(self, other):
-        if isinstance(other, Array):
-            return self.items == other.items
-        return NotImplemented
-
-    __hash__ = Array.__hash__
-
-
 ProtocolValue = SimpleString | Error | Integer | BulkString | Array
 
 OK = SimpleString("OK")
@@ -176,6 +155,17 @@ def encode_command(argv: Sequence[bytes]) -> bytearray:
     return out
 
 
+def encode_bulk(payload: bytes | None) -> bytes:
+    """The bulk-string frame of ``payload`` (None is the null bulk), with no
+    value built. The payload is joined, never %-formatted: ``%b`` copies a
+    1 MiB payload several times slower."""
+    if payload is None:
+        return b"$-1\r\n"
+    size = len(payload)
+    header = _SHORT_BULK_HEADERS[size] if size < 256 else b"$%d\r\n" % size
+    return b"".join((header, payload, CRLF))
+
+
 def _encode_into(value: ProtocolValue, out: list[bytes | bytearray]) -> None:
     if isinstance(value, SimpleString):
         _append_line(out, b"+", value.text)
@@ -190,8 +180,6 @@ def _encode_into(value: ProtocolValue, out: list[bytes | bytearray]) -> None:
             out.append(b"$-1\r\n")
         else:
             out += (b"$%d\r\n" % len(value.payload), value.payload, CRLF)
-    elif type(value) is MemberArray:
-        out.append(encode_command(value.members))
     elif isinstance(value, Array):
         if value.items is None:
             out.append(b"*-1\r\n")

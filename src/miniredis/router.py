@@ -1,36 +1,37 @@
-"""Command table and dispatch: decoded argv in, reply frames out.
+"""Command table and dispatch: decoded argv in, reply wire bytes out.
 
 The command table is data: one row per command name holding the fewest
 and the most arguments it takes (None means variadic), whether a session
 in subscriber mode may send it, and the handler that runs it. Most
 handlers only forward the arguments to a KeyStore or Broker method and
-wrap its result as a reply; the few with logic of their own stay short.
+frame its result as reply bytes (a bulk string, an integer, +OK or an
+array of members), with no reply value built on the way.
 
 Command names are matched case-insensitively; keys, fields, members and
 payloads pass through untouched as bytes. Dispatch never raises for a bad
 command: every failure becomes an error reply, and the keyspace is left
 exactly as it was. Errors come in a fixed order: unknown command, wrong
 arity, subscriber mode, then whatever the handler raises. dispatch()
-returns the frames owed to the calling session (one for most commands,
-one ack per channel for subscribe and unsubscribe).
+returns the bytes owed to the calling session (one reply for most
+commands, one ack per channel for subscribe and unsubscribe); replies()
+decodes them into values for callers that read replies rather than send
+them (exec_line, tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .datastore import KeyStore, RangeBound, parse_int, parse_score
 from .errors import CommandError, InlineCommandError
 from .protocol import (
-    OK,
-    PONG,
-    Array,
-    BulkString,
     Error,
-    Integer,
-    MemberArray,
     ProtocolValue,
+    StreamDecoder,
+    encode,
+    encode_bulk,
+    encode_command,
     tokenize_inline,
 )
 from .pubsub import Broker
@@ -38,6 +39,10 @@ from .pubsub import Broker
 SUBSCRIBER_MODE_ERROR = (
     "ERR only SUBSCRIBE / UNSUBSCRIBE / PING / QUIT allowed in this context"
 )
+
+_OK = b"+OK\r\n"
+_PONG = b"+PONG\r\n"
+_int = b":%d\r\n".__mod__  # integer reply framer
 
 
 @dataclass(eq=False)  # sessions are identities, keep object hashing
@@ -62,56 +67,60 @@ class Router:
         self.broker = broker = broker or Broker()
         self._local = LocalSession()
         # name: (min args, max args or None, allowed while subscribed, handler)
-        self._commands: dict[str, tuple[int, int | None, bool, Callable]] = {
-            "PING": (0, 1, True, _ping),
-            "QUIT": (0, 0, True, _quit),
-            "COMMAND": (0, None, False, _command),
-            "SET": (2, 2, False, _forward(store.set, _ok)),
-            "GET": (1, 1, False, _forward(store.get, BulkString)),
-            "HSET": (3, 3, False, _forward(store.hset, Integer)),
-            "HGET": (2, 2, False, _forward(store.hget, BulkString)),
-            "HEXISTS": (2, 2, False, _forward(store.hexists, Integer)),
-            "HDEL": (2, None, False, _forward(store.hdel, Integer)),
-            "SADD": (2, None, False, _forward(store.sadd, Integer)),
-            "SREM": (2, None, False, _forward(store.srem, Integer)),
-            "SINTER": (1, None, False, _forward(store.sinter, _member_array)),
-            "SUNION": (1, None, False, _forward(store.sunion, _member_array)),
-            "SDIFF": (1, None, False, _forward(store.sdiff, _member_array)),
-            "LPUSH": (2, None, False, _forward(store.lpush, Integer)),
-            "LLEN": (1, 1, False, _forward(store.llen, Integer)),
-            "LINDEX": (2, 2, False, self._lindex),
-            "LRANGE": (3, 3, False, self._lrange),
-            "ZADD": (3, None, False, self._zadd),
-            "ZRANGEBYSCORE": (3, 3, False, self._zrangebyscore),
-            "DEL": (1, None, False, _forward(store.delete, Integer)),
-            "EXISTS": (1, None, False, _forward(store.exists, Integer)),
-            "FLUSHALL": (0, 0, False, _forward(store.flushall, _ok)),
-            "SUBSCRIBE": (1, None, True, broker.subscribe),
-            "UNSUBSCRIBE": (0, None, True, broker.unsubscribe),
-            "PUBLISH": (2, 2, False, _forward(broker.publish, Integer)),
+        self._commands: dict[bytes, tuple[int, int | None, bool, Callable]] = {
+            b"PING": (0, 1, True, _ping),
+            b"QUIT": (0, 0, True, _quit),
+            b"COMMAND": (0, None, False, _command),
+            b"SET": (2, 2, False, _forward(store.set, _ok)),
+            b"GET": (1, 1, False, _forward(store.get, encode_bulk)),
+            b"HSET": (3, 3, False, _forward(store.hset, _int)),
+            b"HGET": (2, 2, False, _forward(store.hget, encode_bulk)),
+            b"HEXISTS": (2, 2, False, _forward(store.hexists, _int)),
+            b"HDEL": (2, None, False, _forward(store.hdel, _int)),
+            b"SADD": (2, None, False, _forward(store.sadd, _int)),
+            b"SREM": (2, None, False, _forward(store.srem, _int)),
+            b"SINTER": (1, None, False, _forward(store.sinter, _member_array)),
+            b"SUNION": (1, None, False, _forward(store.sunion, _member_array)),
+            b"SDIFF": (1, None, False, _forward(store.sdiff, _member_array)),
+            b"LPUSH": (2, None, False, _forward(store.lpush, _int)),
+            b"LLEN": (1, 1, False, _forward(store.llen, _int)),
+            b"LINDEX": (2, 2, False, self._lindex),
+            b"LRANGE": (3, 3, False, self._lrange),
+            b"ZADD": (3, None, False, self._zadd),
+            b"ZRANGEBYSCORE": (3, 3, False, self._zrangebyscore),
+            b"DEL": (1, None, False, _forward(store.delete, _int)),
+            b"EXISTS": (1, None, False, _forward(store.exists, _int)),
+            b"FLUSHALL": (0, 0, False, _forward(store.flushall, _ok)),
+            b"SUBSCRIBE": (1, None, True, _acks(broker.subscribe)),
+            b"UNSUBSCRIBE": (0, None, True, _acks(broker.unsubscribe)),
+            b"PUBLISH": (2, 2, False, _forward(broker.publish, _int)),
         }
 
-    def dispatch(self, session, argv: list[bytes]) -> list[ProtocolValue]:
+    def dispatch(self, session, argv: list[bytes]) -> bytes:
+        """Run one command; returns the reply bytes owed to ``session``."""
         if not argv:
-            return []
-        name = argv[0].decode("latin-1").upper()
-        row = self._commands.get(name)
+            return b""
+        commands = self._commands
+        # Clients mostly send names in capitals: look the raw name up first.
+        row = commands.get(argv[0]) or commands.get(argv[0].upper())
         if row is None:
             shown = argv[0].decode("latin-1").encode("unicode_escape").decode("ascii")
-            return [Error(f"ERR unknown command '{shown}'")]
+            return _error(f"ERR unknown command '{shown}'")
         min_args, max_args, while_subscribed, handler = row
         args = argv[1:]
         if len(args) < min_args or (max_args is not None and len(args) > max_args):
-            return [
-                Error(f"ERR wrong number of arguments for '{name.lower()}' command")
-            ]
+            name = argv[0].lower().decode("ascii")
+            return _error(f"ERR wrong number of arguments for '{name}' command")
         if not while_subscribed and self.broker.subscription_count(session):
-            return [Error(SUBSCRIBER_MODE_ERROR)]
+            return _error(SUBSCRIBER_MODE_ERROR)
         try:
-            reply = handler(session, args)
+            return handler(session, args)
         except CommandError as exc:
-            return [Error(exc.message)]
-        return reply if isinstance(reply, list) else [reply]
+            return _error(exc.message)
+
+    def replies(self, session, argv: list[bytes]) -> list[ProtocolValue]:
+        """``dispatch``, with its reply bytes decoded into values."""
+        return StreamDecoder().feed(self.dispatch(session, argv))
 
     def exec_line(self, line: bytes | str, session=None) -> list[ProtocolValue]:
         """Tokenize one command line and dispatch it (catch-all entry)."""
@@ -121,62 +130,65 @@ class Router:
             tokens = tokenize_inline(line)
         except InlineCommandError as exc:
             return [Error(f"ERR Protocol error: {exc}")]
-        if not tokens:
-            return []
-        return self.dispatch(session if session is not None else self._local, tokens)
+        return self.replies(session if session is not None else self._local, tokens)
 
     def commands(self) -> list[str]:
         """Registered command names, for the curious."""
-        return sorted(self._commands)
+        return sorted(name.decode("ascii") for name in self._commands)
 
     # -- handlers that parse their arguments -------------------------------
 
     def _lindex(self, session, args):
-        return BulkString(self.store.lindex(args[0], parse_int(args[1])))
+        return encode_bulk(self.store.lindex(args[0], parse_int(args[1])))
 
     def _lrange(self, session, args):
         start, stop = parse_int(args[1]), parse_int(args[2])
-        return _bulk_array(self.store.lrange(args[0], start, stop))
+        return encode_command(self.store.lrange(args[0], start, stop))
 
     def _zadd(self, session, args):
         if len(args) % 2 == 0:
             raise CommandError("ERR syntax error")
         # Validate every score before touching the keyspace.
         pairs = list(zip(map(parse_score, args[1::2]), args[2::2]))
-        return Integer(self.store.zadd(args[0], pairs))
+        return _int(self.store.zadd(args[0], pairs))
 
     def _zrangebyscore(self, session, args):
         low, high = RangeBound.parse(args[1]), RangeBound.parse(args[2])
-        return _bulk_array(self.store.zrangebyscore(args[0], low, high))
+        return encode_command(self.store.zrangebyscore(args[0], low, high))
 
 
-def _forward(method: Callable, wrap: Callable) -> Callable:
-    """Handler that passes every argument to ``method`` and wraps its result."""
-    return lambda session, args: wrap(method(*args))
+def _forward(method: Callable, frame: Callable) -> Callable:
+    """Handler that passes every argument to ``method`` and frames its result."""
+    return lambda session, args: frame(method(*args))
 
 
-def _ok(_result) -> ProtocolValue:
-    return OK
+def _acks(method: Callable) -> Callable:
+    """Handler for a Broker method that returns one ack value per channel."""
+    return lambda session, args: b"".join(map(encode, method(session, args)))
+
+
+def _error(text: str) -> bytes:
+    return encode(Error(text))
+
+
+def _ok(_result) -> bytes:
+    return _OK
 
 
 def _ping(session, args):
-    return BulkString(args[0]) if args else PONG
+    return encode_bulk(args[0]) if args else _PONG
 
 
 def _quit(session, args):
     session.close_requested = True
-    return OK
+    return _OK
 
 
 def _command(session, args):
     # Tolerant stub so client handshakes at connect time do not wedge.
-    return Array(())
+    return b"*0\r\n"
 
 
-def _bulk_array(items: Iterable[bytes]) -> Array:
-    return MemberArray(tuple(items))
-
-
-def _member_array(members: set[bytes]) -> Array:
+def _member_array(members: set[bytes]) -> bytearray:
     # Set algebra has no inherent order; sort so replies are deterministic.
-    return _bulk_array(sorted(members))
+    return encode_command(sorted(members))

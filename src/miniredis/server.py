@@ -3,11 +3,13 @@
 Concurrency model: any number of connections, one logical executor. All
 command dispatch runs on the event loop with no awaits in between, so
 commands from different sessions serialize naturally and each one sees a
-consistent keyspace. Per session, the replies to everything one socket read
-decodes are joined into one chunk (handed over early every 64 KiB) and
-queued; a dedicated writer task writes each chunk with one write. A session
-whose queue outgrows its limit is disconnected rather than stalling everyone
-else, and runs no further command.
+consistent keyspace. The router hands back each command's reply as wire
+bytes; only pub/sub deliveries and protocol errors go through ``encode``.
+Per session, the replies to everything one socket read decodes are joined
+into one chunk (handed over early every 64 KiB) and queued; a dedicated
+writer task writes each chunk with one write. A session whose queue
+outgrows its limit is disconnected rather than stalling everyone else, and
+runs no further command.
 """
 
 from __future__ import annotations
@@ -262,18 +264,16 @@ class Server:
             try:
                 for item in session.decoder.feed(data):
                     if isinstance(item, InlineCommandError):
-                        replies = [Error(f"ERR Protocol error: {item}")]
+                        out = encode(Error(f"ERR Protocol error: {item}"))
                     elif isinstance(item, ProtocolError):
                         # Fatal framing error: tell the client, then hang up.
                         log.info("session %d protocol error: %s", session.id, item)
                         parts.append(encode(Error(f"ERR Protocol error: {item.reason}")))
                         return
                     else:
-                        replies = self.router.dispatch(session, item)
-                    for reply in replies:
-                        out = encode(reply)
-                        parts.append(out)
-                        size += len(out)
+                        out = self.router.dispatch(session, item)
+                    parts.append(out)
+                    size += len(out)
                     # Hand over early at FLUSH_BYTES, and as soon as the output
                     # queue would overflow, so an overflowing session is cut
                     # before its next command runs.

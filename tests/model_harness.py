@@ -117,7 +117,7 @@ def first_mismatch(commands: list[list[bytes]]) -> int | None:
     session = LocalSession()
     oracle = Oracle()
     for i, argv in enumerate(commands):
-        engine = router.dispatch(session, argv)
+        engine = router.replies(session, argv)
         expected = oracle.apply(argv)
         if len(engine) != 1 or not replies_equal(argv, engine[0], expected):
             return i
@@ -148,7 +148,7 @@ def describe_failure(seed: int, commands: list[list[bytes]]) -> str:
     router, session, oracle = Router(), LocalSession(), Oracle()
     lines = [f"seed {seed}: engine disagrees with the oracle; minimal replay:"]
     for i, argv in enumerate(reduced):
-        engine = router.dispatch(session, argv)
+        engine = router.replies(session, argv)
         expected = oracle.apply(argv)
         shown = " ".join(repr(a)[1:] for a in argv)
         lines.append(f"  {i}: {shown}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -17,9 +18,14 @@ from miniredis.protocol import Array, BulkString, Error, Integer
 from miniredis.router import LocalSession, Router
 
 
+# Examples of the stateful machine; the random-sequence count scales with it
+# (300 at the default). Raise it for a deeper run.
+_MODEL_EXAMPLES = int(os.environ.get("MINIREDIS_MODEL_EXAMPLES", "60"))
+
+
 def test_random_sequences_smoke():
     rng = random.Random(0xBEEF)
-    for _ in range(300):
+    for _ in range(_MODEL_EXAMPLES * 5):
         commands = gen_sequence(rng, rng.randint(1, 60))
         if first_mismatch(commands) is not None:
             pytest.fail(describe_failure(0xBEEF, commands))
@@ -61,7 +67,7 @@ def test_shrinker_reduces_a_planted_divergence():
 def test_zadd_score_overflow_in_engine_and_oracle(score, accepted):
     argv = [b"ZADD", b"z", score, b"m"]
     expected = Integer(1) if accepted else Error("ERR value is not a valid float")
-    assert Router().dispatch(LocalSession(), argv) == [expected]
+    assert Router().replies(LocalSession(), argv) == [expected]
     assert Oracle().apply(argv) == expected
 
 
@@ -72,7 +78,7 @@ def test_zrangebyscore_overflowing_bound_is_infinity():
     oracle.apply(zadd)
     query = [b"ZRANGEBYSCORE", b"z", b"1e400", b"+inf"]
     expected = Array((BulkString(b"m"),))
-    assert router.dispatch(session, query) == [expected]
+    assert router.replies(session, query) == [expected]
     assert oracle.apply(query) == expected
 
 
@@ -93,7 +99,7 @@ def test_zrangebyscore_hex_and_underflowing_bounds(low, high, members):
     oracle.apply(zadd)
     query = [b"ZRANGEBYSCORE", b"z", low, high]
     expected = Array(tuple(BulkString(m) for m in members))
-    assert router.dispatch(session, query) == [expected]
+    assert router.replies(session, query) == [expected]
     assert oracle.apply(query) == expected
 
 
@@ -121,7 +127,7 @@ class EngineMatchesOracle(RuleBasedStateMachine):
         self.oracle = Oracle()
 
     def check(self, argv: list[bytes]) -> None:
-        engine = self.router.dispatch(self.session, argv)
+        engine = self.router.replies(self.session, argv)
         expected = self.oracle.apply(argv)
         assert len(engine) == 1
         assert replies_equal(argv, engine[0], expected), (argv, engine[0], expected)
@@ -209,4 +215,4 @@ class EngineMatchesOracle(RuleBasedStateMachine):
 
 
 EngineMatchesOracleTest = EngineMatchesOracle.TestCase
-EngineMatchesOracleTest.settings = settings(max_examples=60, stateful_step_count=40)
+EngineMatchesOracleTest.settings = settings(max_examples=_MODEL_EXAMPLES, stateful_step_count=40)

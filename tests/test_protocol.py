@@ -27,7 +27,6 @@ from miniredis.protocol import (
     DecodeLimits,
     Error,
     Integer,
-    MemberArray,
     RequestDecoder,
     SimpleString,
     StreamDecoder,
@@ -35,6 +34,7 @@ from miniredis.protocol import (
     encode_command,
     tokenize_inline,
 )
+from miniredis.router import LocalSession, Router
 
 GOLDEN = [
     (SimpleString("OK"), b"+OK\r\n"),
@@ -1097,21 +1097,27 @@ _MEMBER_LISTS = [
 @pytest.mark.parametrize("members", _MEMBER_LISTS)
 def test_member_array_encodes_like_the_wrapped_array(members):
     wrapped = Array(tuple(BulkString(m) for m in members))
-    assert encode(MemberArray(members)) == encode(wrapped)
-    assert StreamDecoder().feed(encode(MemberArray(members))) == [wrapped]
+    assert encode_command(members) == encode(wrapped)
+    assert StreamDecoder().feed(encode_command(members)) == [wrapped]
 
 
 @pytest.mark.parametrize("members", _MEMBER_LISTS)
 def test_member_array_equals_the_wrapped_array_both_ways(members):
-    value = MemberArray(members)
+    # A member reply as the router frames it (LRANGE), in bytes and as the
+    # value those bytes decode to.
+    router, session = Router(), LocalSession()
+    if members:
+        router.dispatch(session, [b"LPUSH", b"l", *reversed(members)])
+    argv = [b"LRANGE", b"l", b"0", b"-1"]
     wrapped = Array(tuple(BulkString(m) for m in members))
+    assert router.dispatch(session, argv) == encode(wrapped)
+    (value,) = router.replies(session, argv)
     assert value == wrapped and wrapped == value
     assert not (value != wrapped or wrapped != value)
-    assert value == MemberArray(members) and hash(value) == hash(wrapped)
+    assert hash(value) == hash(wrapped)
     assert value.items == wrapped.items and isinstance(value, Array)
     if len(set(members)) > 1:
         reordered = Array(tuple(BulkString(m) for m in reversed(members)))
         assert value != reordered and reordered != value
-        assert value != MemberArray(tuple(reversed(members)))
     assert value != Array(None) and Array(None) != value
     assert value != BulkString(None)

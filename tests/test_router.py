@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from miniredis.protocol import (
     Error,
     Integer,
     SimpleString,
+    StreamDecoder,
     encode,
 )
 from miniredis.router import SUBSCRIBER_MODE_ERROR, LocalSession, Router
@@ -33,39 +35,39 @@ def one(replies):
 
 
 def test_command_names_are_case_insensitive(router, session):
-    assert one(router.dispatch(session, [b"set", b"ice-cream", b"hazelnut"])) == SimpleString("OK")
-    assert one(router.dispatch(session, [b"GET", b"ice-cream"])) == BulkString(b"hazelnut")
-    assert one(router.dispatch(session, [b"GeT", b"ice-cream"])) == BulkString(b"hazelnut")
+    assert one(router.replies(session, [b"set", b"ice-cream", b"hazelnut"])) == SimpleString("OK")
+    assert one(router.replies(session, [b"GET", b"ice-cream"])) == BulkString(b"hazelnut")
+    assert one(router.replies(session, [b"GeT", b"ice-cream"])) == BulkString(b"hazelnut")
 
 
 def test_keys_stay_case_sensitive_through_dispatch(router, session):
     router.dispatch(session, [b"SET", b"Key", b"a"])
-    assert one(router.dispatch(session, [b"GET", b"key"])) == BulkString(None)
+    assert one(router.replies(session, [b"GET", b"key"])) == BulkString(None)
 
 
 def test_unknown_command_echoes_name_as_sent(router, session):
-    assert one(router.dispatch(session, [b"Bogus", b"x"])) == Error(
+    assert one(router.replies(session, [b"Bogus", b"x"])) == Error(
         "ERR unknown command 'Bogus'"
     )
 
 
 def test_unknown_command_name_is_escaped(router, session):
-    reply = one(router.dispatch(session, [b"BO\r\nGUS"]))
+    reply = one(router.replies(session, [b"BO\r\nGUS"]))
     assert isinstance(reply, Error)
     encode(reply)  # must stay encodable: no raw CR/LF smuggled in
 
 
 def test_wrong_arity_message_uses_lowercase_name(router, session):
-    assert one(router.dispatch(session, [b"GET"])) == Error(
+    assert one(router.replies(session, [b"GET"])) == Error(
         "ERR wrong number of arguments for 'get' command"
     )
-    assert one(router.dispatch(session, [b"HSET", b"h", b"f"])) == Error(
+    assert one(router.replies(session, [b"HSET", b"h", b"f"])) == Error(
         "ERR wrong number of arguments for 'hset' command"
     )
-    assert one(router.dispatch(session, [b"SET", b"k", b"v", b"extra"])) == Error(
+    assert one(router.replies(session, [b"SET", b"k", b"v", b"extra"])) == Error(
         "ERR wrong number of arguments for 'set' command"
     )
-    assert one(router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"0"])) == Error(
+    assert one(router.replies(session, [b"ZRANGEBYSCORE", b"z", b"0"])) == Error(
         "ERR wrong number of arguments for 'zrangebyscore' command"
     )
 
@@ -107,16 +109,16 @@ def test_every_command_arity_and_subscriber_flag(name):
     arity_error = Error(f"ERR wrong number of arguments for '{name.lower()}' command")
     counts = ([low - 1] if low > 0 else []) + ([high + 1] if high is not None else [])
     for count in counts:
-        reply = one(Router().dispatch(LocalSession(), [name.encode()] + [b"1"] * count))
+        reply = one(Router().replies(LocalSession(), [name.encode()] + [b"1"] * count))
         assert reply == arity_error, count
 
     router, subscriber = Router(), LocalSession()
     router.dispatch(subscriber, [b"SUBSCRIBE", b"ch"])
     # Arity is checked before subscriber mode.
     for count in counts:
-        replies = router.dispatch(subscriber, [name.encode()] + [b"1"] * count)
+        replies = router.replies(subscriber, [name.encode()] + [b"1"] * count)
         assert one(replies) == arity_error, count
-    replies = router.dispatch(subscriber, [name.encode()] + [b"1"] * low)
+    replies = router.replies(subscriber, [name.encode()] + [b"1"] * low)
     if while_subscribed:
         assert Error(SUBSCRIBER_MODE_ERROR) not in replies
     else:
@@ -124,68 +126,68 @@ def test_every_command_arity_and_subscriber_flag(name):
 
 
 def test_empty_argv_produces_no_reply(router, session):
-    assert router.dispatch(session, []) == []
+    assert router.replies(session, []) == []
 
 
 def test_ping_and_ping_echo(router, session):
-    assert one(router.dispatch(session, [b"PING"])) == SimpleString("PONG")
-    assert one(router.dispatch(session, [b"PING", b"hello"])) == BulkString(b"hello")
+    assert one(router.replies(session, [b"PING"])) == SimpleString("PONG")
+    assert one(router.replies(session, [b"PING", b"hello"])) == BulkString(b"hello")
 
 
 def test_quit_flags_the_session(router, session):
-    assert one(router.dispatch(session, [b"QUIT"])) == SimpleString("OK")
+    assert one(router.replies(session, [b"QUIT"])) == SimpleString("OK")
     assert session.close_requested
 
 
 def test_command_stub_returns_empty_array(router, session):
-    assert one(router.dispatch(session, [b"COMMAND"])) == Array(())
-    assert one(router.dispatch(session, [b"COMMAND", b"DOCS"])) == Array(())
+    assert one(router.replies(session, [b"COMMAND"])) == Array(())
+    assert one(router.replies(session, [b"COMMAND", b"DOCS"])) == Array(())
 
 
 def test_wrongtype_travels_as_error_reply_and_leaves_state(router, session):
     router.dispatch(session, [b"SET", b"s", b"v"])
-    reply = one(router.dispatch(session, [b"SADD", b"s", b"m"]))
+    reply = one(router.replies(session, [b"SADD", b"s", b"m"]))
     assert reply == Error(
         "WRONGTYPE Operation against a key holding the wrong kind of value"
     )
-    assert one(router.dispatch(session, [b"GET", b"s"])) == BulkString(b"v")
+    assert one(router.replies(session, [b"GET", b"s"])) == BulkString(b"v")
 
 
 def test_zadd_odd_pairs_is_syntax_error(router, session):
-    assert one(router.dispatch(session, [b"ZADD", b"z", b"1", b"a", b"2"])) == Error(
+    assert one(router.replies(session, [b"ZADD", b"z", b"1", b"a", b"2"])) == Error(
         "ERR syntax error"
     )
     # nothing was applied
     assert one(
-        router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"-inf", b"+inf"])
+        router.replies(session, [b"ZRANGEBYSCORE", b"z", b"-inf", b"+inf"])
     ) == Array(())
 
 
 def test_zadd_rejects_nan_score_before_applying_anything(router, session):
-    reply = one(router.dispatch(session, [b"ZADD", b"z", b"1", b"a", b"nan", b"b"]))
+    reply = one(router.replies(session, [b"ZADD", b"z", b"1", b"a", b"nan", b"b"]))
     assert reply == Error("ERR value is not a valid float")
     assert one(
-        router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"-inf", b"+inf"])
+        router.replies(session, [b"ZRANGEBYSCORE", b"z", b"-inf", b"+inf"])
     ) == Array(())
 
 
 def test_zrangebyscore_bad_bound_message(router, session):
     router.dispatch(session, [b"ZADD", b"z", b"1", b"a"])
-    assert one(router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"abc", b"2"])) == Error(
+    assert one(router.replies(session, [b"ZRANGEBYSCORE", b"z", b"abc", b"2"])) == Error(
         "ERR min or max is not a float"
     )
 
 
 def test_lindex_bad_integer_message(router, session):
     router.dispatch(session, [b"LPUSH", b"l", b"a"])
-    assert one(router.dispatch(session, [b"LINDEX", b"l", b"1.5"])) == Error(
+    assert one(router.replies(session, [b"LINDEX", b"l", b"1.5"])) == Error(
         "ERR value is not an integer or out of range"
     )
 
 
 def test_set_algebra_replies_are_sorted_bulk_arrays(router, session):
     router.dispatch(session, [b"SADD", b"s", b"zebra", b"ant", b"mole"])
-    reply = one(router.dispatch(session, [b"SUNION", b"s"]))
+    reply = one(router.replies(session, [b"SUNION", b"s"]))
     assert reply == Array((BulkString(b"ant"), BulkString(b"mole"), BulkString(b"zebra")))
 
 
@@ -213,27 +215,27 @@ def test_exec_line_accepts_explicit_session(router):
 
 
 def test_subscriber_mode_gates_store_commands(router, session):
-    acks = router.dispatch(session, [b"SUBSCRIBE", b"ch1", b"ch2"])
+    acks = router.replies(session, [b"SUBSCRIBE", b"ch1", b"ch2"])
     assert acks == [
         Array((BulkString(b"subscribe"), BulkString(b"ch1"), Integer(1))),
         Array((BulkString(b"subscribe"), BulkString(b"ch2"), Integer(2))),
     ]
-    assert one(router.dispatch(session, [b"GET", b"k"])) == Error(SUBSCRIBER_MODE_ERROR)
-    assert one(router.dispatch(session, [b"PUBLISH", b"ch1", b"m"])) == Error(
+    assert one(router.replies(session, [b"GET", b"k"])) == Error(SUBSCRIBER_MODE_ERROR)
+    assert one(router.replies(session, [b"PUBLISH", b"ch1", b"m"])) == Error(
         SUBSCRIBER_MODE_ERROR
     )
     # the allowed four still work
-    assert one(router.dispatch(session, [b"PING"])) == SimpleString("PONG")
-    assert one(router.dispatch(session, [b"QUIT"])) == SimpleString("OK")
-    replies = router.dispatch(session, [b"UNSUBSCRIBE"])
+    assert one(router.replies(session, [b"PING"])) == SimpleString("PONG")
+    assert one(router.replies(session, [b"QUIT"])) == SimpleString("OK")
+    replies = router.replies(session, [b"UNSUBSCRIBE"])
     assert [r.items[1] for r in replies] == [BulkString(b"ch1"), BulkString(b"ch2")]
     # back to normal mode once the last channel is gone
-    assert one(router.dispatch(session, [b"GET", b"k"])) == BulkString(None)
+    assert one(router.replies(session, [b"GET", b"k"])) == BulkString(None)
 
 
 def test_subscriber_mode_allows_further_subscribes(router, session):
     router.dispatch(session, [b"SUBSCRIBE", b"a"])
-    acks = router.dispatch(session, [b"SUBSCRIBE", b"b"])
+    acks = router.replies(session, [b"SUBSCRIBE", b"b"])
     assert acks[0].items[2] == Integer(2)
 
 
@@ -241,7 +243,7 @@ def test_publish_returns_receiver_count(router):
     alice, bob, carol = LocalSession(), LocalSession(), LocalSession()
     router.dispatch(alice, [b"SUBSCRIBE", b"ch1"])
     router.dispatch(bob, [b"SUBSCRIBE", b"ch1"])
-    reply = one(router.dispatch(carol, [b"PUBLISH", b"ch1", b"x"]))
+    reply = one(router.replies(carol, [b"PUBLISH", b"ch1", b"x"]))
     assert reply == Integer(2)
     expected = Array((BulkString(b"message"), BulkString(b"ch1"), BulkString(b"x")))
     assert alice.pushed == [expected]
@@ -285,6 +287,138 @@ def test_every_command_dispatches_under_random_casing(router):
                 c.lower() if rng.random() < 0.5 else c.upper() for c in name
             ).encode()
             # both runs start from identical state: fresh everything
-            upper = Router().dispatch(LocalSession(), [name.encode()] + args)
-            mixed = Router().dispatch(LocalSession(), [cased] + args)
+            upper = Router().replies(LocalSession(), [name.encode()] + args)
+            mixed = Router().replies(LocalSession(), [cased] + args)
             assert [encode(r) for r in mixed] == [encode(r) for r in upper], name
+
+
+# -- reply framing ------------------------------------------------------------
+
+# One of each key type, for the calls below.
+_KEYS = (
+    [b"SET", b"str", b"v"],
+    [b"HSET", b"hash", b"f", b"v"],
+    [b"SADD", b"set", b"a", b"b"],
+    [b"LPUSH", b"list", b"a", b"b"],
+    [b"ZADD", b"zset", b"1", b"a", b"2", b"b"],
+)
+
+# name: (calls that succeed, calls that answer an error: a wrong type or an
+# unparsable number); arity errors are derived from COMMAND_TABLE.
+_FRAMING_CALLS = {
+    "PING": ([[], [b"hi"]], []),
+    "QUIT": ([[]], []),
+    "COMMAND": ([[], [b"DOCS"]], []),
+    "SET": ([[b"str", b"w"], [b"new", b"x" * 300]], []),
+    "GET": ([[b"str"], [b"nokey"]], [[b"hash"]]),
+    "HSET": ([[b"hash", b"g", b"v"]], [[b"str", b"f", b"v"]]),
+    "HGET": ([[b"hash", b"f"], [b"hash", b"nofield"]], [[b"set", b"f"]]),
+    "HEXISTS": ([[b"hash", b"f"], [b"nokey", b"f"]], [[b"list", b"f"]]),
+    "HDEL": ([[b"hash", b"f", b"g"]], [[b"str", b"f"]]),
+    "SADD": ([[b"set", b"c"]], [[b"hash", b"m"]]),
+    "SREM": ([[b"set", b"a"]], [[b"zset", b"a"]]),
+    "SINTER": ([[b"set", b"set"], [b"set", b"nokey"]], [[b"set", b"str"]]),
+    "SUNION": ([[b"set", b"nokey"]], [[b"list"]]),
+    "SDIFF": ([[b"set"]], [[b"zset"]]),
+    "LPUSH": ([[b"list", b"c", b"d"]], [[b"set", b"x"]]),
+    "LLEN": ([[b"list"], [b"nokey"]], [[b"str"]]),
+    "LINDEX": ([[b"list", b"0"], [b"list", b"9"]], [[b"str", b"0"], [b"list", b"1.5"]]),
+    "LRANGE": ([[b"list", b"0", b"-1"]], [[b"hash", b"0", b"-1"], [b"list", b"x", b"1"]]),
+    "ZADD": (
+        [[b"zset", b"3", b"c"]],
+        [[b"list", b"1", b"m"], [b"zset", b"nan", b"m"], [b"zset", b"1", b"a", b"2"]],
+    ),
+    "ZRANGEBYSCORE": (
+        [[b"zset", b"-inf", b"+inf"], [b"zset", b"(1", b"2"]],
+        [[b"set", b"0", b"1"], [b"zset", b"abc", b"1"]],
+    ),
+    "DEL": ([[b"str", b"nokey"]], []),
+    "EXISTS": ([[b"str", b"hash", b"nokey"]], []),
+    "FLUSHALL": ([[]], []),
+    "SUBSCRIBE": ([[b"a", b"b"]], []),
+    "UNSUBSCRIBE": ([[], [b"a"]], []),
+    "PUBLISH": ([[b"ch", b"m"]], []),
+}
+
+
+def _canonical(out: bytes) -> bytes:
+    """``out`` decoded and encoded again; equal to ``out`` if it is canonical."""
+    values = StreamDecoder().feed(out)
+    assert values, out
+    return b"".join(map(encode, values))
+
+
+@pytest.mark.parametrize("name", sorted(_FRAMING_CALLS))
+def test_every_reply_is_framed_canonically(name):
+    assert sorted(_FRAMING_CALLS) == Router().commands()
+    low, high, _ = COMMAND_TABLE[name]
+    valid, failing = _FRAMING_CALLS[name]
+    arity = [[b"x"] * (low - 1)] if low else []
+    arity += [[b"x"] * (high + 1)] if high is not None else []
+    cases = [(args, False) for args in valid] + [(args, True) for args in failing + arity]
+    for args, is_error in cases:
+        router = Router()
+        for argv in _KEYS:
+            router.dispatch(LocalSession(), argv)
+        out = router.dispatch(LocalSession(), [name.encode(), *args])
+        assert out == _canonical(out), args
+        errors = [isinstance(value, Error) for value in StreamDecoder().feed(out)]
+        assert all(errors) if is_error else not any(errors), (args, out)
+
+
+@pytest.mark.parametrize("size", [0, 255, 256, 1 << 20])
+def test_bulk_replies_are_framed_at_every_header_size(router, session, size):
+    value = (b"\r\n" + bytes(range(256)) * (size // 256 + 1))[:size]
+    router.dispatch(session, [b"SET", b"k", value])
+    router.dispatch(session, [b"HSET", b"h", b"f", value])
+    router.dispatch(session, [b"LPUSH", b"l", value])
+    wire = b"$" + str(size).encode() + b"\r\n" + value + b"\r\n"
+    for argv in ([b"GET", b"k"], [b"HGET", b"h", b"f"], [b"LINDEX", b"l", b"0"], [b"PING", value]):
+        out = router.dispatch(session, argv)
+        assert out == wire == _canonical(out), argv[0]
+    assert router.dispatch(session, [b"LRANGE", b"l", b"0", b"0"]) == b"*1\r\n" + wire
+
+
+def test_null_bulk_and_empty_array_wire_forms(router, session):
+    for argv in ([b"GET", b"k"], [b"HGET", b"h", b"f"], [b"LINDEX", b"l", b"0"]):
+        assert router.dispatch(session, argv) == b"$-1\r\n"
+    assert router.dispatch(session, [b"COMMAND"]) == b"*0\r\n"
+    assert router.dispatch(session, [b"SUNION", b"nokey"]) == b"*0\r\n"
+
+
+@pytest.mark.parametrize(
+    "name,shown",
+    [
+        (b"GE\xdf", "GE\\xdf"),
+        (b"\xb5", "\\xb5"),
+        (b"g\xe9t", "g\\xe9t"),
+        (b"get\xff", "get\\xff"),
+        (b"\xdfet", "\\xdfet"),
+    ],
+)
+def test_non_ascii_names_are_unknown_and_shown_as_sent(router, session, name, shown):
+    out = router.dispatch(session, [name, b"k"])
+    assert out == b"-ERR unknown command '" + shown.encode() + b"'\r\n"
+    assert out == _canonical(out)
+
+
+def test_large_bulk_reply_costs_about_one_copy():
+    # Framing a large value with %-formatting (b"...%b" % value) copies it
+    # several times slower than joining the header, value and CRLF.
+    value = bytes(4 << 20)
+    router, session = Router(), LocalSession()
+    router.dispatch(session, [b"SET", b"k", value])
+    parts = (b"$%d\r\n" % len(value), value, b"\r\n")
+    turns = {
+        "dispatch": lambda: router.dispatch(session, [b"GET", b"k"]),
+        "join": lambda: b"".join(parts),
+    }
+    best = dict.fromkeys(turns, float("inf"))
+    for i in range(5):
+        for name in sorted(turns, reverse=i % 2 == 1):
+            start = time.perf_counter()
+            out = turns[name]()
+            best[name] = min(best[name], time.perf_counter() - start)
+            assert out == b"".join(parts)
+            del out
+    assert best["dispatch"] < 3 * best["join"], best
