@@ -5,16 +5,21 @@ strings throughout; keys are case-sensitive. Each key holds exactly one
 value family, and touching a key with an operation from another family
 raises WrongTypeError without mutating anything. Collections never sit
 empty in the keyspace: removing the last element removes the key.
+
+A set keeps its members' byte order from one sort until it next changes,
+so SINTER, SUNION and SDIFF return sorted lists built without sorting
+their result: filtered from, or merged out of, those cached orders.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, compress, filterfalse, islice
+from operator import itemgetter, ne
 from typing import Iterator, Sequence
 
 from .errors import CommandError, WrongTypeError
@@ -25,6 +30,8 @@ _CHUNK_LOAD = 1000
 _score_of = itemgetter(0)
 _member_of = itemgetter(1)
 _UNDERSCORE = ord("_")
+# Bytes that float() takes where a score must not have them (whitespace, _).
+_FLOAT_ONLY_BYTE = re.compile(rb"[\x00- _]").search
 
 
 def parse_int(raw: bytes) -> int:
@@ -82,6 +89,20 @@ def parse_score(raw: bytes) -> float:
         if mantissa.strip(b"0."):
             raise CommandError("ERR value is not a valid float")
     return value
+
+
+def parse_scores(raws: Sequence[bytes]) -> list[float]:
+    """``parse_score`` over a batch, in one ``float`` pass. A batch where any
+    edge could apply (a refusal, NaN, an infinity, a zero, whitespace or
+    ``_``) goes through ``parse_score`` item by item, so results and errors
+    are exactly its own."""
+    try:
+        values = list(map(float, raws))
+        if math.isfinite(sum(values)) and 0.0 not in values and not _FLOAT_ONLY_BYTE(b"".join(raws)):
+            return values
+    except ValueError:
+        pass
+    return list(map(parse_score, raws))
 
 
 @dataclass(frozen=True)
@@ -226,6 +247,26 @@ class SortedSet:
             self._maxes.insert(pos, chunk[-1])
 
 
+class MemberSet(set):
+    """A set value that keeps its members sorted by bytes until it changes.
+
+    Only KeyStore mutates it, and calls ``changed`` when it does."""
+
+    __slots__ = ("_ordered",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ordered: list[bytes] | None = None
+
+    def ordered(self) -> list[bytes]:
+        if self._ordered is None:
+            self._ordered = sorted(self)
+        return self._ordered
+
+    def changed(self) -> None:
+        self._ordered = None
+
+
 class KeyStore:
     """The keyspace. One logical writer mutates it at a time."""
 
@@ -313,43 +354,56 @@ class KeyStore:
     # -- sets ------------------------------------------------------------
 
     def sadd(self, key: bytes, *members: bytes) -> int:
-        group = self._obtain(key, set)
+        group = self._obtain(key, MemberSet)
         before = len(group)
         group.update(members)
+        if len(group) != before:
+            group.changed()
         return len(group) - before
 
     def srem(self, key: bytes, *members: bytes) -> int:
-        group = self._lookup(key, set)
+        group = self._lookup(key, MemberSet)
         if group is None:
             return 0
         before = len(group)
         group.difference_update(members)
         removed = before - len(group)
+        if removed:
+            group.changed()
         self._drop_if_empty(key, group)
         return removed
 
-    def _set_operands(self, keys: Sequence[bytes]) -> list[set]:
+    def _set_operands(self, keys: Sequence[bytes]) -> list[MemberSet]:
         # Type-check every key up front; absent keys act as empty sets.
-        return [self._lookup(key, set) or set() for key in keys]
+        return [self._lookup(key, MemberSet) or MemberSet() for key in keys]
 
-    def sinter(self, *keys: bytes) -> set[bytes]:
-        groups = self._set_operands(keys)
-        return set(groups[0]).intersection(*groups[1:])
+    def sinter(self, *keys: bytes) -> list[bytes]:
+        # Smallest first: each filter pass keeps what the next set holds.
+        groups = sorted(self._set_operands(keys), key=len)
+        members = groups[0].ordered()[:]
+        for group in groups[1:]:
+            members = list(filter(group.__contains__, members))
+        return members
 
-    def sunion(self, *keys: bytes) -> set[bytes]:
+    def sunion(self, *keys: bytes) -> list[bytes]:
+        # sorted() merges the sorted runs; a member equal to the next is a repeat.
         groups = self._set_operands(keys)
-        return set().union(*groups)
+        merged = sorted(chain.from_iterable(group.ordered() for group in groups))
+        return list(compress(merged, map(ne, merged, islice(merged, 1, None)))) + merged[-1:]
 
-    def sdiff(self, *keys: bytes) -> set[bytes]:
+    def sdiff(self, *keys: bytes) -> list[bytes]:
         groups = self._set_operands(keys)
-        return set(groups[0]).difference(*groups[1:])
+        members = groups[0].ordered()[:]
+        for group in groups[1:]:
+            members = list(filterfalse(group.__contains__, members))
+        return members
 
     # -- lists -----------------------------------------------------------
 
     def lpush(self, key: bytes, *values: bytes) -> int:
         items = self._obtain(key, deque)
         # Each value in turn becomes the new head, so the last one wins.
-        items.extendleft(bytes(v) for v in values)
+        items.extendleft(map(bytes, values))
         return len(items)
 
     def llen(self, key: bytes) -> int:

@@ -5,7 +5,9 @@ and the most arguments it takes (None means variadic), whether a session
 in subscriber mode may send it, and the handler that runs it. Most
 handlers only forward the arguments to a KeyStore or Broker method and
 frame its result as reply bytes (a bulk string, an integer, +OK or an
-array of members), with no reply value built on the way.
+array of members), with no reply value built on the way. The set algebra
+(SINTER, SUNION, SDIFF) replies with its members sorted by bytes, an order
+the KeyStore keeps per set, so no reply sorts its members.
 
 Command names are matched case-insensitively; keys, fields, members and
 payloads pass through untouched as bytes. Dispatch never raises for a bad
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .datastore import KeyStore, RangeBound, parse_int, parse_score
+from .datastore import KeyStore, RangeBound, parse_int, parse_scores
 from .errors import CommandError, InlineCommandError
 from .protocol import (
     Error,
@@ -79,9 +81,9 @@ class Router:
             b"HDEL": (2, None, False, _forward(store.hdel, _int)),
             b"SADD": (2, None, False, _forward(store.sadd, _int)),
             b"SREM": (2, None, False, _forward(store.srem, _int)),
-            b"SINTER": (1, None, False, _forward(store.sinter, _member_array)),
-            b"SUNION": (1, None, False, _forward(store.sunion, _member_array)),
-            b"SDIFF": (1, None, False, _forward(store.sdiff, _member_array)),
+            b"SINTER": (1, None, False, _forward(store.sinter, encode_command)),
+            b"SUNION": (1, None, False, _forward(store.sunion, encode_command)),
+            b"SDIFF": (1, None, False, _forward(store.sdiff, encode_command)),
             b"LPUSH": (2, None, False, _forward(store.lpush, _int)),
             b"LLEN": (1, 1, False, _forward(store.llen, _int)),
             b"LINDEX": (2, 2, False, self._lindex),
@@ -149,7 +151,7 @@ class Router:
         if len(args) % 2 == 0:
             raise CommandError("ERR syntax error")
         # Validate every score before touching the keyspace.
-        pairs = list(zip(map(parse_score, args[1::2]), args[2::2]))
+        pairs = list(zip(parse_scores(args[1::2]), args[2::2]))
         return _int(self.store.zadd(args[0], pairs))
 
     def _zrangebyscore(self, session, args):
@@ -187,8 +189,3 @@ def _quit(session, args):
 def _command(session, args):
     # Tolerant stub so client handshakes at connect time do not wedge.
     return b"*0\r\n"
-
-
-def _member_array(members: set[bytes]) -> bytearray:
-    # Set algebra has no inherent order; sort so replies are deterministic.
-    return encode_command(sorted(members))

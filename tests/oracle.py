@@ -53,9 +53,6 @@ _ARITY = {
     "FLUSHALL": (0, 0),
 }
 
-# Commands whose array reply carries set members in no particular order.
-UNORDERED_REPLIES = {"SINTER", "SUNION", "SDIFF"}
-
 
 class Wrong(Exception):
     """Internal: surface an error reply from helper depth."""
@@ -299,13 +296,6 @@ def _members(group: set[bytes]) -> Array:
 
 
 def replies_equal(argv: list[bytes], engine_reply, oracle_reply) -> bool:
-    """Reply equality, order-blind for the set-algebra commands."""
-    name = argv[0].decode("latin-1").upper()
-    if name in UNORDERED_REPLIES:
-        if isinstance(engine_reply, Array) and isinstance(oracle_reply, Array):
-            if engine_reply.items is None or oracle_reply.items is None:
-                return engine_reply == oracle_reply
-            return sorted(b.payload for b in engine_reply.items) == sorted(
-                b.payload for b in oracle_reply.items
-            )
+    """Reply equality, order included: the set algebra must reply with its
+    members sorted by bytes, as ``_members`` lists them."""
     return engine_reply == oracle_reply

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import deque
 
 import pytest
@@ -126,18 +127,18 @@ def test_srem_and_empty_erasure(store):
 def test_set_algebra_matches_python_sets(store):
     store.sadd(b"myset", b"puppy", b"kitten")
     store.sadd(b"otherset", b"birdie", b"kitten")
-    assert store.sinter(b"myset", b"otherset") == {b"kitten"}
-    assert store.sunion(b"myset", b"otherset") == {b"puppy", b"kitten", b"birdie"}
-    assert store.sdiff(b"myset", b"otherset") == {b"puppy"}
-    assert store.sdiff(b"otherset", b"myset") == {b"birdie"}
+    assert store.sinter(b"myset", b"otherset") == [b"kitten"]
+    assert store.sunion(b"myset", b"otherset") == [b"birdie", b"kitten", b"puppy"]
+    assert store.sdiff(b"myset", b"otherset") == [b"puppy"]
+    assert store.sdiff(b"otherset", b"myset") == [b"birdie"]
 
 
 def test_set_algebra_treats_missing_keys_as_empty(store):
     store.sadd(b"s", b"a")
-    assert store.sinter(b"s", b"missing") == set()
-    assert store.sunion(b"missing", b"s") == {b"a"}
-    assert store.sdiff(b"s", b"missing") == {b"a"}
-    assert store.sdiff(b"missing", b"s") == set()
+    assert store.sinter(b"s", b"missing") == []
+    assert store.sunion(b"missing", b"s") == [b"a"]
+    assert store.sdiff(b"s", b"missing") == [b"a"]
+    assert store.sdiff(b"missing", b"s") == []
 
 
 def test_set_algebra_wrongtype_applies_to_every_operand(store):
@@ -160,9 +161,78 @@ def test_set_algebra_property(left, right):
         store.sadd(b"l", *left)
     if right:
         store.sadd(b"r", *right)
-    assert store.sinter(b"l", b"r") == left & right
-    assert store.sunion(b"l", b"r") == left | right
-    assert store.sdiff(b"l", b"r") == left - right
+    assert store.sinter(b"l", b"r") == sorted(left & right)
+    assert store.sunion(b"l", b"r") == sorted(left | right)
+    assert store.sdiff(b"l", b"r") == sorted(left - right)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_set_algebra_stays_sorted_through_changes(seed):
+    # SADD, SREM, DEL and re-creation interleaved with the set algebra on
+    # 1-4 keys (absent and repeated ones included): every reply must be the
+    # sorted Python set operation, so no cached order may outlive a change.
+    rng = random.Random(seed)
+    store, model = KeyStore(), {}
+    keys = [b"k%d" % i for i in range(5)]
+    universe = [bytes([rng.randrange(256)]) * rng.randint(1, 3) for _ in range(40)]
+    ops = {"SINTER": set.intersection, "SUNION": set.union, "SDIFF": set.difference}
+    for _ in range(1500):
+        key, roll = rng.choice(keys), rng.random()
+        if roll < 0.3:
+            members = rng.sample(universe, rng.randint(1, 6))
+            store.sadd(key, *members)
+            model.setdefault(key, set()).update(members)
+        elif roll < 0.5:
+            members = rng.sample(universe, rng.randint(1, 6))
+            store.srem(key, *members)
+            if key in model:
+                model[key].difference_update(members)
+                if not model[key]:
+                    del model[key]
+        elif roll < 0.55:
+            store.delete(key)
+            model.pop(key, None)
+        else:
+            name = rng.choice(sorted(ops))
+            operands = [rng.choice(keys) for _ in range(rng.randint(1, 4))]
+            got = getattr(store, name.lower())(*operands)
+            want = ops[name](*(model.get(k, set()) for k in operands))
+            assert got == sorted(want), (name, operands)
+
+
+def _best_cpu_s(turns: dict, repeats: int = 5) -> dict:
+    """Best CPU time of each callable, the turns alternating in order."""
+    best = dict.fromkeys(turns, float("inf"))
+    for i in range(repeats):
+        for name in sorted(turns, reverse=i % 2 == 1):
+            start = time.thread_time()
+            turns[name]()
+            best[name] = min(best[name], time.thread_time() - start)
+    return best
+
+
+def test_set_algebra_over_unchanged_sets_sorts_nothing():
+    # Repeated set algebra over unchanged 10 000-member sets reuses each
+    # set's cached order; sorting each result per call costs several times
+    # more (the 15 000-member union alone sorts in milliseconds).
+    rng = random.Random(7)
+    universe = [b"%016x" % rng.getrandbits(64) for _ in range(20_000)]
+    left, right = set(rng.sample(universe, 10_000)), set(rng.sample(universe, 10_000))
+    store = KeyStore()
+    store.sadd(b"l", *left)
+    store.sadd(b"r", *right)
+    store.sunion(b"l", b"r")  # the first call sorts each set once
+    turns = {
+        "cached": lambda: (
+            store.sinter(b"l", b"r"), store.sunion(b"l", b"r"), store.sdiff(b"l", b"r")
+        ),
+        "sort per call": lambda: (
+            sorted(left & right), sorted(left | right), sorted(left - right)
+        ),
+    }
+    assert turns["cached"]() == turns["sort per call"]()
+    best = _best_cpu_s(turns)
+    assert best["cached"] < 0.5 * best["sort per call"], best
 
 
 # -- lists ----------------------------------------------------------------
@@ -300,6 +370,31 @@ def test_parse_score_rejects_nan_and_garbage():
         with pytest.raises(CommandError) as excinfo:
             parse_score(raw)
         assert excinfo.value.message == "ERR value is not a valid float"
+
+
+_SCORE_EDGES = [b" 1", b"1 ", b"1_0", b"nan", b"-nan", b"inf", b"-inf", b"infinity",
+                b"+Infinity", b"1e400", b"-1e400", b"1e-400", b"0", b"-0", b"0.0e5",
+                b"0x10", b"-0x1.8p3", b"0x0", b"1.7e308", b"abc", b"", b"\xff"]
+_PLAIN_SCORES = st.one_of(
+    st.integers(-(10**20), 10**20).map(lambda n: b"%d" % n),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode()),
+)
+
+
+def _scores_or_error(parse, raws):
+    try:
+        return [value.hex() for value in parse(raws)]  # hex keeps the sign of zero
+    except CommandError as exc:
+        return exc.message
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_SCORE_EDGES), _PLAIN_SCORES), max_size=12))
+def test_parse_scores_matches_parse_score_per_item(raws):
+    # One float() pass, or per-item parse_score when any edge could apply:
+    # either way, exactly the values or the first error per-item parsing gives.
+    expected = _scores_or_error(lambda batch: list(map(parse_score, batch)), raws)
+    assert _scores_or_error(datastore.parse_scores, raws) == expected
 
 
 def test_range_bound_parse():
@@ -536,4 +631,4 @@ def test_binary_safe_keys_fields_members(store):
     store.hset(key, b"\x00f", b"\xffv")
     assert store.hget(key, b"\x00f") == b"\xffv"
     store.sadd(b"bin", b"\x00", b"\x01")
-    assert store.sinter(b"bin") == {b"\x00", b"\x01"}
+    assert store.sinter(b"bin") == [b"\x00", b"\x01"]

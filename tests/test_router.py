@@ -171,6 +171,21 @@ def test_zadd_rejects_nan_score_before_applying_anything(router, session):
     ) == Array(())
 
 
+@pytest.mark.parametrize("bad", [b"nan", b"1e400", b"1e-400", b" 1", b"1_0", b"x", b""])
+def test_zadd_with_one_bad_score_anywhere_leaves_the_key_untouched(router, session, bad):
+    router.dispatch(session, [b"ZADD", b"z", b"1", b"a", b"2", b"b"])
+    full = router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"-inf", b"+inf"])
+    for at in range(6):
+        scores = [b"%d" % (10 + i) for i in range(6)]
+        scores[at] = bad
+        argv = [b"ZADD", b"z"]
+        for i, score in enumerate(scores):
+            argv += [score, b"a" if i == 0 else b"n%d" % i]
+        assert router.dispatch(session, argv) == b"-ERR value is not a valid float\r\n"
+        assert router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"-inf", b"+inf"]) == full
+        assert router.dispatch(session, [b"ZRANGEBYSCORE", b"z", b"1", b"1"]) == b"*1\r\n$1\r\na\r\n"
+
+
 def test_zrangebyscore_bad_bound_message(router, session):
     router.dispatch(session, [b"ZADD", b"z", b"1", b"a"])
     assert one(router.replies(session, [b"ZRANGEBYSCORE", b"z", b"abc", b"2"])) == Error(
@@ -413,12 +428,12 @@ def test_large_bulk_reply_costs_about_one_copy():
         "dispatch": lambda: router.dispatch(session, [b"GET", b"k"]),
         "join": lambda: b"".join(parts),
     }
-    best = dict.fromkeys(turns, float("inf"))
+    best = dict.fromkeys(turns, float("inf"))  # CPU time of this thread
     for i in range(5):
         for name in sorted(turns, reverse=i % 2 == 1):
-            start = time.perf_counter()
+            start = time.thread_time()
             out = turns[name]()
-            best[name] = min(best[name], time.perf_counter() - start)
+            best[name] = min(best[name], time.thread_time() - start)
             assert out == b"".join(parts)
             del out
     assert best["dispatch"] < 3 * best["join"], best
