@@ -29,7 +29,6 @@ from .protocol import (
 )
 from .pubsub import Broker
 from .router import LocalSession, Router
-from .server import Server, ServerConfig, ServerThread
 
 __version__ = "0.1.0"
 
@@ -68,3 +67,12 @@ __all__ = [
     "zadd_matrix",
     "zrangebyscore_matrix",
 ]
+
+
+def __getattr__(name: str):
+    # Imported on first use, so ``python -m miniredis.server`` runs that module once.
+    if name in ("Server", "ServerConfig", "ServerThread"):
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--target",
         metavar="HOST[:PORT]",
-        help="connect to HOST[:PORT]; overrides -h and -p",
+        help="connect to HOST[:PORT] or [IPV6-ADDRESS][:PORT]; overrides -h and -p",
     )
     parser.add_argument(
         "--raw", action="store_true", help="bare payloads, one element per line"
@@ -131,9 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_target(target: str, default_port: int) -> tuple[str, int]:
-    host, _, port_text = target.rpartition(":")
-    if not host:
-        return target, default_port
+    """``host[:port]`` or ``[host][:port]``; a bare address with colons is a host."""
+    if target.startswith("["):
+        host, bracket, port_text = target[1:].partition("]")
+        if not bracket or port_text[:1] not in ("", ":"):
+            raise ValueError(f"bad --target {target!r}: expected [host]:port")
+        port_text = port_text[1:] if port_text else None
+    elif target.count(":") == 1:
+        host, _, port_text = target.partition(":")
+    else:
+        host, port_text = target, None
+    if port_text is None:
+        return host, default_port
     try:
         return host, int(port_text)
     except ValueError:

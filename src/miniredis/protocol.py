@@ -627,15 +627,16 @@ _INLINE_ESCAPES = {
 }
 
 _WHITESPACE = b" \t"
+_HEX_PAIR = re.compile(rb"[0-9a-fA-F]{2}")
 
 
 def tokenize_inline(line: bytes) -> list[bytes]:
     """Split one inline command line into argv tokens.
 
     Double-quoted tokens keep embedded whitespace and honor backslash
-    escapes; single-quoted tokens are literal except for ``\\'``. A closing
-    quote must end the token. Raises InlineCommandError on unbalanced or
-    run-together quoting.
+    escapes, ``\\xHH`` included; single-quoted tokens are literal except for
+    ``\\'``. A closing quote must end the token. Raises InlineCommandError
+    on unbalanced or run-together quoting.
     """
     tokens: list[bytes] = []
     i, n = 0, len(line)
@@ -662,6 +663,10 @@ def tokenize_inline(line: bytes) -> list[bytes]:
                     break
                 if ch == 0x5C and quote == 0x22 and i + 1 < n:  # escape in ""
                     nxt = line[i + 1]
+                    if nxt == 0x78 and _HEX_PAIR.fullmatch(line, i + 2, i + 4):  # \xHH
+                        token.append(int(line[i + 2 : i + 4], 16))
+                        i += 4
+                        continue
                     token.append(_INLINE_ESCAPES.get(nxt, nxt))
                     i += 2
                     continue

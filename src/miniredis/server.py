@@ -22,9 +22,10 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .errors import InlineCommandError, ProtocolError
-from .protocol import DecodeLimits, Error, RequestDecoder, encode, strict_int
+from .protocol import DEFAULT_LIMITS, DecodeLimits, Error, RequestDecoder, encode, strict_int
 from .router import Router
 
 log = logging.getLogger("miniredis.server")
@@ -45,8 +46,8 @@ FLUSH_BYTES = 64 * 1024
 class ServerConfig:
     """Everything the server can be told at startup.
 
-    ``port=0`` binds an ephemeral port (handy for tests); real deployments
-    use 1..65535.
+    Each field is a config-file key and a ``--key`` flag, dashed. ``port=0``
+    binds an ephemeral port; real deployments use 1..65535.
     """
 
     bind: str = "127.0.0.1"
@@ -54,8 +55,8 @@ class ServerConfig:
     maxclients: int = 10000
     loglevel: str = "notice"
     output_queue_limit: int = 32 * 1024 * 1024
-    max_bulk_length: int = 512 * 1024 * 1024
-    max_array_length: int = 1024 * 1024
+    max_bulk_length: int = DEFAULT_LIMITS.max_bulk_length
+    max_array_length: int = DEFAULT_LIMITS.max_array_length
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -69,15 +70,9 @@ class ServerConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
-    def decode_limits(self) -> DecodeLimits:
-        return DecodeLimits(
-            max_bulk_length=self.max_bulk_length,
-            max_array_length=self.max_array_length,
-        )
-
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse a ``key value`` per line config file, '#' starts a comment."""
+    """Parse ``key value`` lines, '#' starts a comment; keys come back dashed."""
     pairs: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -88,32 +83,23 @@ def load_config_file(path: str) -> dict[str, str]:
             value = value.strip()
             if not value:
                 raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}")
-            pairs[key.lower()] = value
+            pairs[key.lower().replace("_", "-")] = value
     return pairs
 
 
-def build_config(
-    file_pairs: dict[str, str] | None = None, **overrides
-) -> ServerConfig:
-    """Defaults, then config file pairs, then explicit overrides."""
-    known = {f.name for f in fields(ServerConfig)}
+def build_config(pairs: dict[str, str]) -> ServerConfig:
+    """Defaults, then ``key: text`` pairs in order; a later pair wins."""
+    types = get_type_hints(ServerConfig)
     kwargs: dict[str, object] = {}
-    for key, text in (file_pairs or {}).items():
+    for key, text in pairs.items():
         name = key.replace("-", "_")
-        if name not in known:
+        if name not in types:
             raise ValueError(f"unknown configuration key: {key}")
-        kwargs[name] = text if name in ("bind", "loglevel") else _parse_config_int(key, text)
-    for name, value in overrides.items():
-        if value is not None:
-            kwargs[name] = value
+        value = strict_int(text.encode("utf-8")) if types[name] is int else text
+        if value is None:
+            raise ValueError(f"configuration key {key} expects an integer, got {text!r}")
+        kwargs[name] = value
     return ServerConfig(**kwargs)
-
-
-def _parse_config_int(key: str, text: str) -> int:
-    value = strict_int(text.encode("utf-8"))
-    if value is None:
-        raise ValueError(f"configuration key {key} expects an integer, got {text!r}")
-    return value
 
 
 class Session:
@@ -172,6 +158,7 @@ class Server:
     def __init__(self, config: ServerConfig | None = None):
         self.config = config or ServerConfig()
         self.router = Router()
+        self._limits = DecodeLimits(self.config.max_bulk_length, self.config.max_array_length)
         # Each live session and the task running its connection handler.
         self._sessions: dict[Session, asyncio.Task] = {}
         self._listener: asyncio.base_events.Server | None = None
@@ -229,9 +216,7 @@ class Server:
                 pass
             writer.close()
             return
-        session = Session(
-            writer, self.config.decode_limits(), self.config.output_queue_limit
-        )
+        session = Session(writer, self._limits, self.config.output_queue_limit)
         self._sessions[session] = asyncio.current_task()
         log.info("session %d connected from %s", session.id, session.peer)
         writer_task = asyncio.create_task(self._writer_loop(session))
@@ -391,32 +376,33 @@ class ServerThread:
         self.stop()
 
 
-def main(argv: list[str] | None = None) -> int:
+def config_from_argv(argv: list[str] | None = None) -> ServerConfig:
+    """``--config FILE`` plus one ``--key VALUE`` flag per config-file key.
+
+    Flags are laid over the file's pairs as text, so ``build_config`` parses
+    both alike and a flag wins over the file wherever it stands.
+    """
     parser = argparse.ArgumentParser(
         prog="miniredis-server",
         description="In-memory data-structure server speaking RESP2.",
+        allow_abbrev=False,
     )
-    parser.add_argument("--bind", metavar="ADDR", help="address to listen on")
-    parser.add_argument("--port", type=int, metavar="PORT", help="port to listen on")
-    parser.add_argument(
-        "--maxclients", type=int, metavar="N", help="maximum simultaneous connections"
-    )
-    parser.add_argument(
-        "--loglevel", choices=sorted(LOG_LEVELS), help="logging verbosity"
-    )
-    parser.add_argument(
-        "--config", metavar="FILE", help="'key value' per line; flags win over it"
-    )
-    args = parser.parse_args(argv)
-    try:
-        pairs = load_config_file(args.config) if args.config else {}
-        config = build_config(
-            pairs,
-            bind=args.bind,
-            port=args.port,
-            maxclients=args.maxclients,
-            loglevel=args.loglevel,
+    parser.add_argument("--config", metavar="FILE", help="'key value' per line; flags win over it")
+    for field in fields(ServerConfig):
+        key = field.name.replace("_", "-")
+        parser.add_argument(
+            "--" + key, dest=key, metavar="VALUE", help=f"default: {field.default}"
         )
+    flags = vars(parser.parse_args(argv))
+    path = flags.pop("config")
+    pairs = load_config_file(path) if path else {}
+    pairs.update((key, text) for key, text in flags.items() if text is not None)
+    return build_config(pairs)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        config = config_from_argv(argv)
     except (OSError, ValueError) as exc:
         print(f"miniredis-server: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from miniredis.cli import parse_target
 from miniredis.client import Connection
 from miniredis.server import ServerConfig, ServerThread
 
@@ -28,10 +29,7 @@ def target(request) -> tuple[str, int] | None:
     value = request.config.getoption("--target") or os.environ.get("MINIREDIS_TARGET")
     if not value:
         return None
-    host, _, port_text = value.rpartition(":")
-    if not host:
-        return value, 6379
-    return host, int(port_text)
+    return parse_target(value, 6379)
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from miniredis.protocol import (
     Error,
     Integer,
     SimpleString,
+    tokenize_inline,
 )
 
 
@@ -84,6 +85,13 @@ def test_render_human(value, expected):
     assert render(value, raw=False) == expected
 
 
+def test_human_bulk_strings_read_back_at_the_prompt():
+    # The prompt's tokenizer reads every quoted form the renderer prints.
+    for payload in [bytes([b]) for b in range(256)] + [bytes(range(256))]:
+        printed = render(BulkString(payload), raw=False)
+        assert tokenize_inline(printed.rstrip(b"\n")) == [payload], printed
+
+
 # -- argument handling ---------------------------------------------------------
 
 
@@ -97,8 +105,14 @@ def test_parser_uses_dash_h_for_host():
 def test_parse_target_forms():
     assert parse_target("example.org:7000", 6379) == ("example.org", 7000)
     assert parse_target("example.org", 6379) == ("example.org", 6379)
-    with pytest.raises(ValueError):
-        parse_target("example.org:abc", 6379)
+    assert parse_target("::1", 6379) == ("::1", 6379)
+    assert parse_target("fe80::1:2", 6379) == ("fe80::1:2", 6379)
+    assert parse_target("[::1]:7000", 6379) == ("::1", 7000)
+    assert parse_target("[::1]", 6379) == ("::1", 6379)
+    assert parse_target("[localhost]:7000", 6379) == ("localhost", 7000)
+    for bad in ("example.org:abc", "[::1]:abc", "[::1]:", "[::1", "[::1]7000"):
+        with pytest.raises(ValueError):
+            parse_target(bad, 6379)
 
 
 def test_main_reports_connection_failure(capsys):

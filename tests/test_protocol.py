@@ -563,6 +563,13 @@ def test_decoder_keeps_no_reference_to_an_array_it_returned():
         (b"", []),
         (b"   ", []),
         (b'""', [b""]),
+        (b'SET a "\\x41\\x7a"', [b"SET", b"a", b"Az"]),
+        (b'"\\x00\\xFF\\xfe"', [b"\x00\xff\xfe"]),
+        (b'"\\x4"', [b"x4"]),
+        (b'"\\x4g"', [b"x4g"]),
+        (b'"\\x"', [b"x"]),
+        (b"'\\x41'", [b"\\x41"]),
+        (b"\\x41", [b"\\x41"]),
     ],
 )
 def test_tokenize_inline(line, tokens):

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from miniredis.server import (
     ServerConfig,
     ServerThread,
     build_config,
+    config_from_argv,
     load_config_file,
     main,
 )
@@ -416,19 +418,66 @@ def test_load_config_file_rejects_dangling_key(tmp_path):
 
 
 def test_build_config_flags_beat_file(tmp_path):
-    pairs = {"port": "7000", "maxclients": "50", "output-queue-limit": "2048"}
-    config = build_config(pairs, port=7001, loglevel="warning")
-    assert config.port == 7001  # flag wins
-    assert config.maxclients == 50  # file survives
-    assert config.output_queue_limit == 2048
-    assert config.loglevel == "warning"
-    assert config.bind == "127.0.0.1"  # default
+    path = tmp_path / "server.conf"
+    path.write_text("port 7000\nmaxclients 50\nloglevel debug\noutput_queue_limit 2048\n")
+    flags = ["--port", "7001", "--loglevel", "warning", "--max-array-length", "9"]
+    # A flag wins over the file whether it comes before or after --config.
+    for argv in (["--config", str(path), *flags], [*flags, "--config", str(path)]):
+        config = config_from_argv(argv)
+        assert config.port == 7001
+        assert config.maxclients == 50  # file survives
+        assert config.output_queue_limit == 2048  # underscore spelling in the file
+        assert config.loglevel == "warning"
+        assert config.max_array_length == 9
+        assert config.bind == "127.0.0.1"  # default
+    argv = ["--config", str(path), "--output-queue-limit", "4096"]
+    assert config_from_argv(argv).output_queue_limit == 4096
+
+
+def _config_or_error(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ServerConfig)])
+def test_every_config_key_parses_alike_as_flag_and_file_line(name, tmp_path):
+    key = name.replace("_", "-")
+    path = tmp_path / "server.conf"
+    outcomes = set()
+    for text in ("7000", "6_379", " 7000", "abc", "-1", "0", "verbose", "chatty", "::1"):
+        from_flag = _config_or_error(lambda: config_from_argv(["--" + key, text]))
+        assert from_flag == _config_or_error(lambda: build_config({key: text}))
+        if text == text.strip():  # a file line's value is stripped
+            path.write_text(f"{key} {text}\n")
+            assert from_flag == _config_or_error(lambda: config_from_argv(["--config", str(path)]))
+        outcomes.add(from_flag if isinstance(from_flag, str) else getattr(from_flag, name))
+    if name == "bind":
+        assert outcomes >= {"7000", " 7000", "::1"}
+    elif name == "loglevel":
+        assert "verbose" in outcomes and "unknown loglevel 'chatty'" in str(outcomes)
+    else:
+        assert 7000 in outcomes
+        assert f"configuration key {key} expects an integer, got '6_379'" in outcomes
+        assert f"configuration key {key} expects an integer, got ' 7000'" in outcomes
+
+
+def test_server_help_lists_every_config_key(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        config_from_argv(["--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    for field in fields(ServerConfig):
+        assert f"--{field.name.replace('_', '-')} VALUE" in usage
 
 
 def test_build_config_rejects_unknown_key():
-    for key in ("bogus", "max-depth"):
+    for key in ("bogus", "max-depth", "max-bulk"):
         with pytest.raises(ValueError, match="unknown configuration key"):
             build_config({key: "4"})
+        with pytest.raises(SystemExit):  # no flag for it either, not even by prefix
+            config_from_argv(["--" + key, "4"])
 
 
 def test_build_config_rejects_non_integer():
@@ -476,7 +525,10 @@ def test_server_binary_stops_cleanly_on_sigterm():
     src = str(Path(miniredis.__file__).resolve().parent.parent)
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    command = [sys.executable, "-m", "miniredis.server", "--port", "0", "--loglevel", "verbose"]
+    # -W: importing the package must not import miniredis.server before runpy
+    # executes it as __main__, which warns.
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "miniredis.server"]
+    command += ["--port", "0", "--loglevel", "verbose"]
     log_lines: queue.Queue[str | None] = queue.Queue()
     seen: list[str] = []
     with subprocess.Popen(
