@@ -80,24 +80,14 @@ def _human_lines(value: ProtocolValue) -> list[str]:
     return lines
 
 
+# How each byte prints inside a quoted bulk string.
+_QUOTED = {byte: chr(byte) if 0x20 <= byte < 0x7F else f"\\x{byte:02x}" for byte in range(256)} | {
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"
+}
+
+
 def _quote(payload: bytes) -> str:
-    out = ['"']
-    for byte in payload:
-        ch = chr(byte)
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif 0x20 <= byte < 0x7F:
-            out.append(ch)
-        else:
-            out.append(f"\\x{byte:02x}")
-    out.append('"')
-    return "".join(out)
+    return '"' + "".join(map(_QUOTED.__getitem__, payload)) + '"'
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -618,16 +618,19 @@ class RequestDecoder(_Decoder):
         return pos
 
 
-_INLINE_ESCAPES = {
-    0x6E: 0x0A,  # \n
-    0x72: 0x0D,  # \r
-    0x74: 0x09,  # \t
-    0x62: 0x08,  # \b
-    0x61: 0x07,  # \a
+# After any blanks, a "double-quoted" token with escapes, a 'single-quoted' one where
+# only \' is escaped, or a run of non-blanks not led by a quote; then a blank or the end.
+_INLINE_TOKEN = re.compile(
+    rb'[ \t]*(?:"([^\\"]*(?:\\.[^\\"]*)*)"|\'([^\'\\]*(?:\\(?:\'|(?!\'))[^\'\\]*)*)\''
+    rb'|([^ \t"\'][^ \t]*))(?=[ \t]|\Z)',
+    re.S,
+)
+_INLINE_ESCAPE = re.compile(rb"\\(x[0-9a-fA-F]{2}|.)", re.S)
+# What an escape stands for where it is not its own byte.
+_INLINE_ESCAPES = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"a": b"\a"} | {
+    b"x%c%c" % pair: bytes.fromhex(bytes(pair).decode())
+    for pair in itertools.product(b"0123456789abcdefABCDEF", repeat=2)
 }
-
-_WHITESPACE = b" \t"
-_HEX_PAIR = re.compile(rb"[0-9a-fA-F]{2}")
 
 
 def tokenize_inline(line: bytes) -> list[bytes]:
@@ -639,42 +642,19 @@ def tokenize_inline(line: bytes) -> list[bytes]:
     on unbalanced or run-together quoting.
     """
     tokens: list[bytes] = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i] in _WHITESPACE:
-            i += 1
-            continue
-        token = bytearray()
-        quote = line[i] if line[i] in b"\"'" else None
-        if quote is None:
-            while i < n and line[i] not in _WHITESPACE:
-                token.append(line[i])
-                i += 1
-        else:
-            i += 1
-            while True:
-                if i >= n:
-                    raise InlineCommandError("unbalanced quotes in request")
-                ch = line[i]
-                if ch == quote:
-                    i += 1
-                    if i < n and line[i] not in _WHITESPACE:
-                        raise InlineCommandError("unbalanced quotes in request")
-                    break
-                if ch == 0x5C and quote == 0x22 and i + 1 < n:  # escape in ""
-                    nxt = line[i + 1]
-                    if nxt == 0x78 and _HEX_PAIR.fullmatch(line, i + 2, i + 4):  # \xHH
-                        token.append(int(line[i + 2 : i + 4], 16))
-                        i += 4
-                        continue
-                    token.append(_INLINE_ESCAPES.get(nxt, nxt))
-                    i += 2
-                    continue
-                if ch == 0x5C and quote == 0x27 and i + 1 < n and line[i + 1] == 0x27:
-                    token.append(0x27)
-                    i += 2
-                    continue
-                token.append(ch)
-                i += 1
-        tokens.append(bytes(token))
+    pos, end = 0, len(line.rstrip(b" \t"))
+    while pos < end:
+        match = _INLINE_TOKEN.match(line, pos)
+        if match is None:
+            raise InlineCommandError("unbalanced quotes in request")
+        quoted, single, token = match.groups()
+        if quoted is not None:
+            parts = _INLINE_ESCAPE.split(quoted)  # text, escape, text, ...
+            escapes = parts[1::2]
+            parts[1::2] = map(_INLINE_ESCAPES.get, escapes, escapes)
+            token = b"".join(parts)
+        elif single is not None:
+            token = single.replace(b"\\'", b"'")
+        tokens.append(token)
+        pos = match.end()
     return tokens

@@ -25,7 +25,9 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .errors import InlineCommandError, ProtocolError
-from .protocol import DEFAULT_LIMITS, DecodeLimits, Error, RequestDecoder, encode, strict_int
+from .protocol import (
+    DEFAULT_LIMITS, DecodeLimits, Error, RequestDecoder, encode, strict_int, tokenize_inline
+)
 from .router import Router
 
 log = logging.getLogger("miniredis.server")
@@ -59,6 +61,8 @@ class ServerConfig:
     max_array_length: int = DEFAULT_LIMITS.max_array_length
 
     def __post_init__(self) -> None:
+        if not self.bind:  # asyncio would listen on every interface
+            raise ValueError("bind must name an address")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
         if self.maxclients < 1:
@@ -72,17 +76,17 @@ class ServerConfig:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse ``key value`` lines, '#' starts a comment; keys come back dashed."""
+    """Parse ``key value`` lines split like inline commands, '#' lines skipped; keys dashed."""
     pairs: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition(" ")
-            value = value.strip()
-            if not value:
-                raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}")
+            try:
+                key, value = (token.decode() for token in tokenize_inline(line.encode()))
+            except (InlineCommandError, ValueError):
+                raise ValueError(f"{path}:{lineno}: expected 'key value', got {line!r}") from None
             pairs[key.lower().replace("_", "-")] = value
     return pairs
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miniredis import protocol
+from miniredis.cli import _quote
 from miniredis.errors import InlineCommandError, ProtocolError
 from miniredis.protocol import (
     INT64_MAX,
@@ -454,16 +455,17 @@ def _state_machine_only():
         yield
 
 
-@pytest.mark.parametrize(
-    "decoder_cls,shape",
-    [
+def _cases(shapes):
+    return [
         pytest.param(cls, shape, id=f"{cls.__name__}-{shape}")
         for cls in (RequestDecoder, StreamDecoder)
-        for shape in _HOSTILE_SHAPES
+        for shape in shapes
         # Inline commands are not RESP values.
         if cls is RequestDecoder or not shape.startswith("inline")
-    ],
-)
+    ]
+
+
+@pytest.mark.parametrize("decoder_cls,shape", _cases(_HOSTILE_SHAPES))
 def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
     # A split that fails and is retried at every item or command, or a window
     # copied again on every read, shows here: as superlinear growth, or as a
@@ -489,6 +491,58 @@ def test_hostile_frame_shapes_decode_in_linear_time(decoder_cls, shape):
             best[name] = min(best[name], taken)
     assert best["large"] / best["small"] < 8, best
     assert best["small"] / best["loop only"] < 2, best
+
+
+class _CountingView:
+    """Stands in for the decoder's memoryview inside ``_split`` and counts
+    the bytes its slices copy. Each slice is released at once: one still
+    held would make the decoder's ``del buf[:pos]`` raise BufferError."""
+
+    def __init__(self, view: memoryview, counts: dict):
+        self._view, self._counts = view, counts
+
+    def __getitem__(self, index):
+        with self._view[index] as part:
+            data = part.tobytes()
+        self._counts["copied"] += len(data)
+        return memoryview(data)
+
+
+# The hostile shapes, and the frame of test_chunked_decoding_scales_linearly.
+_COUNTED_SHAPES = {
+    **_HOSTILE_SHAPES,
+    "many-items-in-1kib-reads": (_many_bulk_frame, 2000, 1 << 10, lambda n: 1),
+}
+
+
+@pytest.mark.parametrize("decoder_cls,shape", _cases(_COUNTED_SHAPES))
+def test_frame_shapes_decode_with_linear_work(decoder_cls, shape):
+    # The work the timing guards above measure, counted instead, so CPU
+    # contention cannot trip it: the bytes the split's windows copy, and the
+    # splits that took nothing. A back-off that never grew would copy a
+    # window per item or command (7-21 times the input on four shapes) and
+    # miss once per item.
+    build, n, chunk, values = _COUNTED_SHAPES[shape]
+    split = protocol._Decoder._split
+    for size in (n, 4 * n):
+        wire = build(size)
+        counts = {"copied": 0, "empty": 0}
+
+        def spy(self, buf, view, pos, items, due):
+            before = len(items)
+            after = split(self, buf, _CountingView(view, counts), pos, items, due)
+            counts["empty"] += len(items) == before
+            return after
+
+        decoder = decoder_cls()
+        with mock.patch.object(protocol._Decoder, "_split", spy):
+            reads = [wire[i : i + chunk] for i in range(0, len(wire), chunk)]
+            decoded = [value for read in reads for value in decoder.feed(read)]
+        assert len(decoded) == values(size)
+        assert counts["copied"] <= 2 * len(wire), (size, counts, len(wire))
+        # At most one miss per value decoded or read taken, plus the doublings
+        # of one back-off.
+        assert counts["empty"] <= values(size) + len(reads) + 32, (size, counts)
 
 
 def _reads(wire: bytes, size: int = 1 << 16) -> list[bytes]:
@@ -570,6 +624,12 @@ def test_decoder_keeps_no_reference_to_an_array_it_returned():
         (b'"\\x"', [b"x"]),
         (b"'\\x41'", [b"\\x41"]),
         (b"\\x41", [b"\\x41"]),
+        (b"'a\\b'", [b"a\\b"]),
+        (b'"\\X41"', [b"X41"]),
+        (b"\tSET\t \ta\tb \t", [b"SET", b"a", b"b"]),
+        (b"'' \"\"\t''", [b"", b"", b""]),
+        (b"a\x00b\xff c\xff", [b"a\x00b\xff", b"c\xff"]),
+        (b"a\"b c'd\"", [b'a"b', b"c'd\""]),
     ],
 )
 def test_tokenize_inline(line, tokens):
@@ -578,11 +638,36 @@ def test_tokenize_inline(line, tokens):
 
 @pytest.mark.parametrize(
     "line",
-    [b'GET "unterminated', b"GET 'nope", b'GET "a"b', b'SET "x" "y'],
+    [
+        b'GET "unterminated',
+        b"GET 'nope",
+        b'GET "a"b',
+        b'SET "x" "y',
+        b"'a\\'",
+        b'"a\\"',
+        b'"a"b',
+        b"'a'b",
+        b"'a'\"b\"",
+    ],
 )
 def test_tokenize_inline_rejects_bad_quoting(line):
     with pytest.raises(InlineCommandError):
         tokenize_inline(line)
+
+
+# Examples of the quoting round trip; a deeper run sets it higher.
+_QUOTING_EXAMPLES = int(os.environ.get("MINIREDIS_QUOTING_EXAMPLES", "200"))
+
+
+@given(tokens=st.lists(st.binary(max_size=16), max_size=6), data=st.data())
+@settings(max_examples=_QUOTING_EXAMPLES)
+def test_tokens_printed_by_the_cli_read_back_however_they_are_spaced(tokens, data):
+    edge, gap = st.text(" \t", max_size=3), st.text(" \t", min_size=1, max_size=3)
+    line = data.draw(edge)
+    for i, token in enumerate(tokens):
+        line += (data.draw(gap) if i else "") + _quote(token)
+    line += data.draw(edge)
+    assert tokenize_inline(line.encode()) == tokens
 
 
 # -- properties --------------------------------------------------------

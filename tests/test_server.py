@@ -417,6 +417,43 @@ def test_load_config_file_rejects_dangling_key(tmp_path):
         load_config_file(str(path))
 
 
+@pytest.mark.parametrize(
+    "line,pair",
+    [
+        ("port\t7000", ("port", "7000")),
+        ('bind "127.0.0.1"', ("bind", "127.0.0.1")),
+        ("\tloglevel \t 'debug' ", ("loglevel", "debug")),
+        ('bind "::1"', ("bind", "::1")),
+    ],
+)
+def test_config_lines_split_like_inline_commands(line, pair, tmp_path):
+    path = tmp_path / "server.conf"
+    path.write_text(line + "\n")
+    assert load_config_file(str(path)) == dict([pair])
+
+
+@pytest.mark.parametrize(
+    "line", ["port 7000 7001", 'bind "127.0.0.1', "bind '::1'x", "port 7000 # not a comment"]
+)
+def test_load_config_file_names_the_file_and_line_it_refuses(line, tmp_path):
+    path = tmp_path / "server.conf"
+    path.write_text(f"# first\nport 7000\n{line}\n")
+    message = f"{path}:3: expected 'key value', got {line!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config_file(str(path))
+
+
+def test_empty_bind_is_refused_from_flag_and_file(tmp_path, capsys):
+    # asyncio reads an empty host as every interface.
+    path = tmp_path / "server.conf"
+    path.write_text('bind ""\n')
+    for argv in (["--bind", ""], ["--config", str(path)]):
+        with pytest.raises(ValueError, match="bind must name an address"):
+            config_from_argv(argv)
+        assert main(argv) == 1
+        assert "bind must name an address" in capsys.readouterr().err
+
+
 def test_build_config_flags_beat_file(tmp_path):
     path = tmp_path / "server.conf"
     path.write_text("port 7000\nmaxclients 50\nloglevel debug\noutput_queue_limit 2048\n")
@@ -493,6 +530,7 @@ def test_build_config_rejects_non_integer():
         {"port": 65536},
         {"maxclients": 0},
         {"loglevel": "chatty"},
+        {"bind": ""},
     ],
 )
 def test_server_config_validation(kwargs):
