@@ -10,6 +10,7 @@ hold arbitrary bytes untouched.
 
 from __future__ import annotations
 
+import functools
 import math
 import socket
 import struct
@@ -53,6 +54,9 @@ def _encode_arg(arg) -> bytes:
     raise TypeError(f"cannot send {type(arg).__name__} as a command argument")
 
 
+_ALL_BYTES = {bytes}
+
+
 class Connection:
     """A single client connection with pipelining support.
 
@@ -72,7 +76,9 @@ class Connection:
         """Write one command frame without waiting for the reply."""
         if not args:
             raise ValueError("empty command")
-        self._sock.sendall(encode_command([_encode_arg(a) for a in args]))
+        if set(map(type, args)) != _ALL_BYTES:  # one C pass; bytes go as they are
+            args = [_encode_arg(a) for a in args]
+        self._sock.sendall(encode_command(args))
 
     def read_reply(self) -> ProtocolValue:
         """Next pending reply, reading from the socket as needed."""
@@ -112,12 +118,18 @@ class Connection:
 # -- matrix convention ----------------------------------------------------
 
 _ROW_COUNT = struct.Struct(">I")
+_SCORE = struct.Struct(">d")
+
+
+@functools.lru_cache(maxsize=64)
+def _row_struct(width: int) -> struct.Struct:
+    return struct.Struct(f">I{width}d")
 
 
 def encode_row(row: Sequence[float]) -> bytes:
     """Pack one row of floats; identical rows always pack identically."""
-    values = [float(v) for v in row]
-    return struct.pack(f">I{len(values)}d", len(values), *values)
+    values = list(map(float, row))
+    return _row_struct(len(values)).pack(len(values), *values)
 
 
 def decode_row(member: bytes) -> tuple[float, ...]:
@@ -145,20 +157,21 @@ def zadd_matrix(conn: Connection, key, rows: Sequence[Sequence[float]]) -> int:
     Rows must be rectangular with at least one column; violations raise
     ValueError before anything is sent.
     """
-    converted = [[float(v) for v in row] for row in rows]
-    if not converted:
+    members = [encode_row(row) for row in rows]  # each value converted once
+    if not members:
         return 0
-    width = len(converted[0])
-    if width < 1:
+    size = len(members[0])
+    if size == _ROW_COUNT.size:
         raise ValueError("matrix rows need at least one column")
-    if any(len(row) != width for row in converted):
+    if any(len(member) != size for member in members):
         raise ValueError("ragged matrix: all rows must have the same column count")
-    args: list[object] = ["ZADD", key]
-    for row in converted:
-        args.append(row[0])
-        args.append(encode_row(row))
+    args = [b"ZADD", _encode_arg(key)]
+    for member in members:
+        (score,) = _SCORE.unpack_from(member, _ROW_COUNT.size)
+        args += (format_float(score).encode("ascii"), member)
     reply = conn.call(*args)
     return reply.value
+
 
 def zrangebyscore_matrix(conn: Connection, key, low, high) -> list[list[float]]:
     """Rows whose score falls in [low, high], decoded, in score order.
@@ -167,11 +180,7 @@ def zrangebyscore_matrix(conn: Connection, key, low, high) -> list[list[float]]:
     """
     reply = conn.call("ZRANGEBYSCORE", key, _bound_arg(low), _bound_arg(high))
     assert isinstance(reply, Array) and reply.items is not None
-    rows = []
-    for item in reply.items:
-        assert isinstance(item, BulkString) and item.payload is not None
-        rows.append(list(decode_row(item.payload)))
-    return rows
+    return [list(decode_row(item.payload)) for item in reply.items]
 
 
 def _bound_arg(bound) -> bytes:

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, compress, filterfalse, islice
-from operator import itemgetter, ne
+from operator import itemgetter, ne, not_
 from typing import Iterator, Sequence
 
 from .errors import CommandError, WrongTypeError
@@ -92,13 +92,16 @@ def parse_score(raw: bytes) -> float:
 
 
 def parse_scores(raws: Sequence[bytes]) -> list[float]:
-    """``parse_score`` over a batch, in one ``float`` pass. A batch where any
-    edge could apply (a refusal, NaN, an infinity, a zero, whitespace or
-    ``_``) goes through ``parse_score`` item by item, so results and errors
-    are exactly its own."""
+    """``parse_score`` over a batch, in one ``float`` pass. Zeros, which
+    ``parse_score`` may refuse (``1e-400``), are checked by it one by one. A
+    batch where any other edge could apply (a refusal, NaN, an infinity,
+    whitespace or ``_``) goes through ``parse_score`` item by item, so
+    results and errors are exactly its own."""
     try:
         values = list(map(float, raws))
-        if math.isfinite(sum(values)) and 0.0 not in values and not _FLOAT_ONLY_BYTE(b"".join(raws)):
+        if math.isfinite(sum(values)) and not _FLOAT_ONLY_BYTE(b"".join(raws)):
+            if 0.0 in values:
+                deque(map(parse_score, compress(raws, map(not_, values))), 0)
             return values
     except ValueError:
         pass

@@ -6,10 +6,13 @@ import math
 import socket
 import struct
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from miniredis import client
 from miniredis.client import (
     Connection,
     _encode_arg,
@@ -64,8 +67,9 @@ def test_pipelining_preserves_order(conn):
     assert replies == [Integer(i + 1) for i in range(20)]
 
 
-def test_send_command_frames_like_the_generic_encoder():
-    args = ("HSET", b"k\x00\r\n", bytearray(b"$3\r\n"), "h\u00e9", 42, -7, 1.5, 1e20, b"")
+def _sent(*args) -> tuple[bytes, bytes]:
+    """What ``send_command(*args)`` writes to the socket, and the generic
+    encoder's frame of the same arguments."""
     expected = encode(Array(tuple(BulkString(_encode_arg(a)) for a in args)))
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5)
@@ -80,7 +84,30 @@ def test_send_command_frames_like_the_generic_encoder():
                     if not chunk:
                         break
                     sent += chunk
+    return sent, expected
+
+
+def test_send_command_frames_like_the_generic_encoder():
+    sent, expected = _sent(
+        "HSET", b"k\x00\r\n", bytearray(b"$3\r\n"), "h\u00e9", 42, -7, 1.5, 1e20, b""
+    )
     assert sent == expected
+
+
+class _Bytes(bytes):
+    pass
+
+
+def test_send_command_sends_a_bytes_argv_as_it_is():
+    argv = [b"SADD", b"s"] + [b"%016x" % i for i in range(1000)]
+    with mock.patch.object(client, "_encode_arg", wraps=_encode_arg) as spy:
+        sent, expected = _sent(*argv)
+        assert sent == expected and spy.call_count == 0
+        # Anything but exact bytes still goes through _encode_arg.
+        sent, expected = _sent(b"SET", _Bytes(b"k"), b"v")
+        assert sent == expected and spy.call_count == 3
+        with pytest.raises(TypeError):
+            _sent(b"SET", b"k", True)
 
 
 def test_connection_refused_raises_oserror():
@@ -202,6 +229,36 @@ def test_ragged_matrix_fails_before_any_send(conn):
     with pytest.raises(ValueError, match="ragged"):
         zadd_matrix(conn, "never", [[1.0, 2.0], [3.0]])
     assert conn.execute("EXISTS", "never") == Integer(0)
+
+
+def test_matrix_without_columns_fails_before_any_send(conn):
+    with pytest.raises(ValueError, match="at least one column"):
+        zadd_matrix(conn, "never", [[], []])
+    assert conn.execute("EXISTS", "never") == Integer(0)
+
+
+class _Counted:
+    """A cell that counts how often it is converted to float."""
+
+    conversions = 0
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __float__(self) -> float:
+        _Counted.conversions += 1
+        return self.value
+
+
+def test_zadd_matrix_converts_each_value_once_and_encodes_each_row_once(conn):
+    rows = [[_Counted(float(i)), _Counted(i / 3), "2.5"] for i in range(50)]
+    _Counted.conversions = 0
+    with mock.patch.object(client, "encode_row", wraps=encode_row) as spy:
+        assert zadd_matrix(conn, "z", rows) == 50
+    assert _Counted.conversions == 100 and spy.call_count == 50
+    assert zrangebyscore_matrix(conn, "z", "-inf", "+inf") == [
+        [float(i), i / 3, 2.5] for i in range(50)
+    ]
 
 
 def test_empty_matrix_is_a_quiet_noop(conn):

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,21 @@ def test_set_algebra_over_unchanged_sets_sorts_nothing():
     store.sadd(b"l", *left)
     store.sadd(b"r", *right)
     store.sunion(b"l", b"r")  # the first call sorts each set once
+    # Counted: with every set's order cached, no call sorts a set.
+    sorts = []
+
+    def counting_sorted(iterable, **kwargs):
+        sorts.append(isinstance(iterable, set))
+        return sorted(iterable, **kwargs)
+
+    with mock.patch.object(datastore, "sorted", counting_sorted, create=True):
+        for _ in range(3):
+            store.sinter(b"l", b"r"), store.sunion(b"l", b"r"), store.sdiff(b"l", b"r")
+        assert sorts and not any(sorts), sorts
+        store.sadd(b"new", b"member")
+        store.sunion(b"l", b"new")
+        assert sorts.count(True) == 1  # the new set, sorted once
+    # Timed: the cached order against sorting each result per call.
     turns = {
         "cached": lambda: (
             store.sinter(b"l", b"r"), store.sunion(b"l", b"r"), store.sdiff(b"l", b"r")
@@ -395,6 +411,17 @@ def test_parse_scores_matches_parse_score_per_item(raws):
     # either way, exactly the values or the first error per-item parsing gives.
     expected = _scores_or_error(lambda batch: list(map(parse_score, batch)), raws)
     assert _scores_or_error(datastore.parse_scores, raws) == expected
+
+
+def test_parse_scores_checks_only_the_zeros_one_by_one():
+    # A zero may be refused (1e-400 reads as zero), so each zero goes through
+    # parse_score; the rest of the batch keeps the one float() pass.
+    raws = [b"%d" % i for i in range(1, 1000)] + [b"0", b"-0.0"]
+    with mock.patch.object(datastore, "parse_score", wraps=parse_score) as spy:
+        assert datastore.parse_scores(raws) == list(map(float, raws))
+        assert spy.call_count == 2
+        with pytest.raises(CommandError):
+            datastore.parse_scores(raws + [b"1e-400"])
 
 
 def test_range_bound_parse():

@@ -7,9 +7,13 @@ grammar and must never be computed by the code under test.
 from __future__ import annotations
 
 import contextlib
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import time
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -1185,6 +1189,15 @@ _MEMBER_LISTS = [
     pytest.param((b"one",), id="single"),
     pytest.param(tuple(b"m%05d" % i for i in range(10_000)), id="10000"),
     pytest.param((b"a\r\nb", b"$3\r\nxyz", b"", b"\x00\xff*1\r\n"), id="binary"),
+    # encode_command joins more than 8 members of one size with one header.
+    pytest.param((b"",) * 9, id="equal-empty"),
+    pytest.param(tuple(b"%016x" % i for i in range(9)), id="equal-9"),
+    pytest.param(tuple(b"%03d" % i for i in range(256)), id="equal-256"),
+    pytest.param(tuple(b"%03d" % i for i in range(257)), id="equal-257"),
+    pytest.param(tuple(b"%03d" % i for i in range(513)), id="equal-513"),
+    pytest.param(tuple(bytes([i]) * 300 for i in range(9)), id="equal-long"),
+    pytest.param((b"ab",) + tuple(b"%03d" % i for i in range(8)) + (b"cd",), id="equal-ends-only"),
+    pytest.param((b"ab",) * 300 + (b"a",) + (b"cd",) * 300, id="one-short-in-the-middle"),
 ]
 
 
@@ -1215,3 +1228,81 @@ def test_member_array_equals_the_wrapped_array_both_ways(members):
         assert value != reordered and reordered != value
     assert value != Array(None) and Array(None) != value
     assert value != BulkString(None)
+
+
+def test_framing_equal_size_members_allocates_about_one_frame():
+    # One join of all the members would borrow an 80-byte buffer record per
+    # member, 3.5 times this frame; joined in runs, the peak stays near the
+    # frame, as it did when the frame grew member by member.
+    members = [b"%016x" % i for i in range(10_000)]
+    frame_size = len(encode(Array(tuple(map(BulkString, members)))))
+    tracemalloc.start()
+    try:
+        frame = encode_command(members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(frame) == frame_size
+    assert peak <= 1.25 * frame_size, (peak, frame_size)
+
+
+# -- the value types ----------------------------------------------------------
+
+_VALUES = [
+    pytest.param(SimpleString, "OK", id="SimpleString"),
+    pytest.param(Error, "ERR bad", id="Error"),
+    pytest.param(Integer, 42, id="Integer"),
+    pytest.param(BulkString, b"payload", id="BulkString"),
+    pytest.param(Array, (BulkString(b"a"), Integer(1), Array(None)), id="Array"),
+]
+
+
+@pytest.mark.parametrize("cls,field", _VALUES)
+def test_value_types_compare_within_their_type(cls, field):
+    value = cls(field)
+    assert value == cls(field) and not value != cls(field)
+    assert hash(value) == hash(cls(field)) == hash((field,))
+    for other in {SimpleString, Error, Integer, BulkString, Array} - {cls}:
+        twin = object.__new__(other)  # the same field value in another type
+        object.__setattr__(twin, dataclasses.fields(other)[0].name, field)
+        assert value != twin and twin != value
+    name = dataclasses.fields(cls)[0].name
+    assert repr(value) == f"{cls.__name__}({name}={field!r})"
+
+
+@pytest.mark.parametrize("cls,field", _VALUES)
+def test_value_types_are_frozen_and_weakly_referable(cls, field):
+    value = cls(field)
+    name = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, field)
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+        value.other = field
+    ref = weakref.ref(value)
+    assert ref() is value
+    del value
+    assert ref() is None
+
+
+@pytest.mark.parametrize("cls,field", _VALUES)
+def test_value_types_survive_pickle_and_copy(cls, field):
+    value = cls(field)
+    for protocol_version in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(value, protocol_version))
+        assert again == value and type(again) is cls
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
+    assert type(copy.deepcopy(value)) is cls
+
+
+def test_decoded_bulk_items_equal_constructed_ones():
+    # The decoder builds array items without __init__; they must be the same
+    # values as constructed ones in every respect a caller can see.
+    members = [b"%016x" % i for i in range(1000)] + [b"", b"x" * 300]
+    [value] = StreamDecoder().feed(bytes(encode_command(members)))
+    assert value == Array(tuple(BulkString(m) for m in members))
+    for item, member in zip(value.items, members):
+        assert type(item) is BulkString and item == BulkString(member)
+        assert hash(item) == hash(BulkString(member)) and repr(item) == repr(BulkString(member))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            item.payload = b"changed"
+    assert pickle.loads(pickle.dumps(value)) == value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -437,3 +438,12 @@ def test_large_bulk_reply_costs_about_one_copy():
             assert out == b"".join(parts)
             del out
     assert best["dispatch"] < 3 * best["join"], best
+    # Counted: the reply allocates one copy of the value and a few bytes more.
+    tracemalloc.start()
+    try:
+        out = router.dispatch(session, [b"GET", b"k"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == b"".join(parts)
+    assert peak <= 1.1 * len(value), (peak, len(value))
