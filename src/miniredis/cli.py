@@ -290,7 +290,9 @@ def _run_helper(
                 print("(nil)", file=err)
                 return 1
             _write_payload(rest[2] if len(rest) == 3 else b"-", payload, out)
-    except (ValueError, RowDecodeError, ReplyError, OSError) as exc:
+    # A FILE argument's faults; any other OSError is the connection's, and ends a REPL.
+    except (ValueError, RowDecodeError, ReplyError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"miniredis-cli: {exc}", file=err)
         return 1
     out.flush()

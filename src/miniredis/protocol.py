@@ -23,18 +23,18 @@ bodies under 256 bytes within the limits. The decoder's state picks what it
 takes: with an array open, that array's next items; where a
 ``RequestDecoder`` command starts, whole commands tagged ``*1`` to ``*255``.
 A per-item loop (one regex match per header) takes what the split leaves
-inside arrays: arrays with 8 items or fewer due, longer bodies, and the
-stretches the split stands aside for. Neither raises: at anything else they
-stop, and the state machine resumes at that byte.
+inside arrays: arrays with 8 items or fewer due, bodies over 255 bytes (most
+packed matrix rows) and the stretches the split stands aside for. Neither
+raises: at anything else they stop, and the state machine resumes there.
 
 Where the split does not pay, it backs off for a stretch of items or
 commands that doubles each time, so frames that defeat it cost a few small
 window copies, not one per item. That back-off belongs to the array or the
 run of commands that earned it and starts afresh with the next.
 
-The server frames its replies straight from the command table's results
-(``encode_bulk``, ``encode_command``) and keeps the typed values and
-``encode`` for pub/sub deliveries and error replies.
+The server frames replies, acks and errors with one framer per shape
+(``encode_bulk``, ``encode_command``, ``encode_int``, ``encode_error``);
+only pub/sub messages go through the typed values and ``encode``.
 """
 
 from __future__ import annotations
@@ -120,8 +120,6 @@ class Array(_Value):
 
 ProtocolValue = SimpleString | Error | Integer | BulkString | Array
 
-OK = SimpleString("OK")
-PONG = SimpleString("PONG")
 NIL = BulkString(None)
 
 
@@ -204,15 +202,30 @@ def encode_bulk(payload: bytes | None) -> bytes:
     return b"".join((header, payload, CRLF))
 
 
+# The integer frame of a count or an in-range integer (no range check).
+encode_int = b":%d\r\n".__mod__
+
+
+def encode_error(text: str) -> bytes:
+    """The error frame of ``text``; text holding CR or LF is refused."""
+    return _line(b"-", text)
+
+
+def _line(marker: bytes, text: str) -> bytes:
+    if "\r" in text or "\n" in text:
+        raise ValueError("line reply may not contain CR or LF")
+    return b"".join((marker, text.encode("utf-8"), CRLF))
+
+
 def _encode_into(value: ProtocolValue, out: list[bytes | bytearray]) -> None:
     if isinstance(value, SimpleString):
-        _append_line(out, b"+", value.text)
+        out.append(_line(b"+", value.text))
     elif isinstance(value, Error):
-        _append_line(out, b"-", value.text)
+        out.append(encode_error(value.text))
     elif isinstance(value, Integer):
         if not INT64_MIN <= value.value <= INT64_MAX:
             raise ValueError(f"integer reply out of 64-bit range: {value.value}")
-        out.append(b":%d\r\n" % value.value)
+        out.append(encode_int(value.value))
     elif isinstance(value, BulkString):
         if value.payload is None:
             out.append(b"$-1\r\n")
@@ -227,12 +240,6 @@ def _encode_into(value: ProtocolValue, out: list[bytes | bytearray]) -> None:
                 _encode_into(item, out)
     else:
         raise TypeError(f"not a protocol value: {value!r}")
-
-
-def _append_line(out: list[bytes | bytearray], marker: bytes, text: str) -> None:
-    if "\r" in text or "\n" in text:
-        raise ValueError("line reply may not contain CR or LF")
-    out += (marker, text.encode("utf-8"), CRLF)
 
 
 def _header_int(line: bytearray, offset: int, what: str) -> int:

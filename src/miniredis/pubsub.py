@@ -3,7 +3,8 @@
 There is no history and no redelivery. A message published while nobody
 listens is gone; a subscriber sees only what arrives after its ack. All
 frames here are 3-element arrays: a kind tag ("subscribe", "unsubscribe"
-or "message"), the channel, then a count or the payload.
+or "message"), the channel, then a count or the payload. Acks are wire
+bytes for the caller to send; a message reaches each subscriber as a value.
 
 Sessions are any hashable objects with a ``deliver_frame(value)`` method;
 the broker never inspects them beyond that.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Protocol
 
-from .protocol import Array, BulkString, Integer
+from .protocol import Array, BulkString, encode_bulk, encode_int
 
 
 class Session(Protocol):
@@ -22,12 +23,12 @@ class Session(Protocol):
     def __hash__(self) -> int: ...
 
 
-def subscribe_ack(channel: bytes, count: int) -> Array:
-    return Array((BulkString(b"subscribe"), BulkString(channel), Integer(count)))
+def subscribe_ack(channel: bytes, count: int) -> bytes:
+    return b"".join((b"*3\r\n$9\r\nsubscribe\r\n", encode_bulk(channel), encode_int(count)))
 
 
-def unsubscribe_ack(channel: bytes | None, count: int) -> Array:
-    return Array((BulkString(b"unsubscribe"), BulkString(channel), Integer(count)))
+def unsubscribe_ack(channel: bytes | None, count: int) -> bytes:
+    return b"".join((b"*3\r\n$11\r\nunsubscribe\r\n", encode_bulk(channel), encode_int(count)))
 
 
 def message_frame(channel: bytes, payload: bytes) -> Array:
@@ -44,8 +45,8 @@ class Broker:
     def subscription_count(self, session: Hashable) -> int:
         return len(self._channels.get(session, ()))
 
-    def subscribe(self, session: Session, channels: Iterable[bytes]) -> list[Array]:
-        """Join channels; one ack per argument with the running count."""
+    def subscribe(self, session: Session, channels: Iterable[bytes]) -> bytes:
+        """Join channels; one framed ack per argument, with the running count."""
         joined = self._channels.setdefault(session, set())
         acks = []
         for channel in channels:
@@ -54,17 +55,15 @@ class Broker:
             acks.append(subscribe_ack(channel, len(joined)))
         if not joined:
             del self._channels[session]
-        return acks
+        return b"".join(acks)
 
-    def unsubscribe(
-        self, session: Session, channels: Iterable[bytes] = ()
-    ) -> list[Array]:
-        """Leave the named channels, or every channel when none are named."""
+    def unsubscribe(self, session: Session, channels: Iterable[bytes] = ()) -> bytes:
+        """Leave the named channels, or all when none are named; one framed ack each."""
         joined = self._channels.get(session)
         channels = list(channels)
         if not channels:
             if not joined:
-                return [unsubscribe_ack(None, 0)]
+                return unsubscribe_ack(None, 0)
             channels = sorted(joined)
         acks = []
         for channel in channels:
@@ -74,7 +73,7 @@ class Broker:
             acks.append(unsubscribe_ack(channel, len(joined) if joined else 0))
         if joined is not None and not joined:
             del self._channels[session]
-        return acks
+        return b"".join(acks)
 
     def publish(self, channel: bytes, payload: bytes) -> int:
         """Enqueue one copy per current subscriber; returns the fan-out."""

@@ -3,8 +3,8 @@
 Concurrency model: any number of connections, one logical executor. All
 command dispatch runs on the event loop with no awaits in between, so
 commands from different sessions serialize naturally and each one sees a
-consistent keyspace. The router hands back each command's reply as wire
-bytes; only pub/sub deliveries and protocol errors go through ``encode``.
+consistent keyspace. Replies and protocol errors are framed as wire bytes;
+only pub/sub message deliveries go through ``encode``.
 Per session, the replies to everything one socket read decodes are joined
 into one chunk (handed over early every 64 KiB) and queued; a dedicated
 writer task writes each chunk with one write. A session whose queue
@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 from .errors import InlineCommandError, ProtocolError
 from .protocol import (
-    DEFAULT_LIMITS, DecodeLimits, Error, RequestDecoder, encode, strict_int, tokenize_inline
+    DEFAULT_LIMITS, DecodeLimits, RequestDecoder, encode, encode_error, strict_int, tokenize_inline
 )
 from .router import Router
 
@@ -213,7 +213,7 @@ class Server:
             writer.close()
             return
         if len(self._sessions) >= self.config.maxclients:
-            writer.write(b"-ERR max number of clients reached\r\n")
+            writer.write(encode_error("ERR max number of clients reached"))
             try:
                 await writer.drain()
             except (ConnectionError, OSError):
@@ -253,11 +253,11 @@ class Server:
             try:
                 for item in session.decoder.feed(data):
                     if isinstance(item, InlineCommandError):
-                        out = encode(Error(f"ERR Protocol error: {item}"))
+                        out = encode_error(f"ERR Protocol error: {item}")
                     elif isinstance(item, ProtocolError):
                         # Fatal framing error: tell the client, then hang up.
                         log.info("session %d protocol error: %s", session.id, item)
-                        parts.append(encode(Error(f"ERR Protocol error: {item.reason}")))
+                        parts.append(encode_error(f"ERR Protocol error: {item.reason}"))
                         return
                     else:
                         out = self.router.dispatch(session, item)

@@ -297,3 +297,26 @@ def test_repl_reports_lost_connection(conn):
     out = io.BytesIO()
     assert repl(conn, io.StringIO("PING\n"), out) == 1
     assert b"Connection lost: " in out.getvalue()
+
+
+def test_repl_ends_when_a_helper_finds_the_connection_lost(server, conn):
+    # A helper on a dead connection ends the prompt like any command does,
+    # rather than printing an error and prompting again.
+    server.stop()
+    out = io.BytesIO()
+    script = "zadd-matrix z 1,2\nhget-blob k f\nPING\n"
+    assert repl(conn, io.StringIO(script), out) == 1
+    prompt = f"{conn.host}:{conn.port}> ".encode()
+    assert out.getvalue().count(prompt) == 1
+    assert b"Connection lost: " in out.getvalue()
+
+
+def test_helper_file_errors_are_not_a_lost_connection(conn, tmp_path, capsys):
+    missing = tmp_path / "missing.bin"
+    code, out, err = run(conn, "hset-blob", "k", "f", str(missing))
+    assert (code, out) == (1, b"")
+    assert err.startswith("miniredis-cli: [Errno 2] No such file or directory")
+    out = repl_session(conn, f"hset-blob k f {missing}\nPING\nexit\n")
+    assert b"Connection lost" not in out
+    assert b"PONG\n" in out
+    assert "No such file or directory" in capsys.readouterr().err

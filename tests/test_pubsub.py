@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-from miniredis.protocol import Array, BulkString, Integer
+from miniredis.protocol import Array, BulkString
 from miniredis.pubsub import Broker, message_frame, subscribe_ack, unsubscribe_ack
+
+
+def sub(channel: bytes, count: int) -> bytes:
+    return b"*3\r\n$9\r\nsubscribe\r\n$%d\r\n%b\r\n:%d\r\n" % (len(channel), channel, count)
+
+
+def unsub(channel: bytes, count: int) -> bytes:
+    return b"*3\r\n$11\r\nunsubscribe\r\n$%d\r\n%b\r\n:%d\r\n" % (len(channel), channel, count)
 
 
 class FakeSession:
@@ -23,13 +31,9 @@ def payloads(session: FakeSession) -> list[bytes]:
 
 
 def test_frame_shapes():
-    assert subscribe_ack(b"ch1", 1) == Array(
-        (BulkString(b"subscribe"), BulkString(b"ch1"), Integer(1))
-    )
-    assert unsubscribe_ack(b"ch1", 0) == Array(
-        (BulkString(b"unsubscribe"), BulkString(b"ch1"), Integer(0))
-    )
-    assert unsubscribe_ack(None, 0).items[1] == BulkString(None)
+    assert subscribe_ack(b"ch1", 1) == b"*3\r\n$9\r\nsubscribe\r\n$3\r\nch1\r\n:1\r\n"
+    assert unsubscribe_ack(b"ch1", 0) == b"*3\r\n$11\r\nunsubscribe\r\n$3\r\nch1\r\n:0\r\n"
+    assert unsubscribe_ack(None, 0) == b"*3\r\n$11\r\nunsubscribe\r\n$-1\r\n:0\r\n"
     assert message_frame(b"ch1", b"x") == Array(
         (BulkString(b"message"), BulkString(b"ch1"), BulkString(b"x"))
     )
@@ -39,7 +43,7 @@ def test_subscribe_acks_in_argument_order_with_running_count():
     broker = Broker()
     session = FakeSession("s")
     acks = broker.subscribe(session, [b"b", b"a", b"c"])
-    assert acks == [subscribe_ack(b"b", 1), subscribe_ack(b"a", 2), subscribe_ack(b"c", 3)]
+    assert acks == sub(b"b", 1) + sub(b"a", 2) + sub(b"c", 3)
     assert broker.subscription_count(session) == 3
 
 
@@ -48,7 +52,7 @@ def test_duplicate_subscribe_is_acked_but_not_counted_twice():
     session = FakeSession("s")
     broker.subscribe(session, [b"ch1"])
     acks = broker.subscribe(session, [b"ch1"])
-    assert acks == [subscribe_ack(b"ch1", 1)]
+    assert acks == sub(b"ch1", 1)
     assert broker.subscription_count(session) == 1
     # still exactly one copy per publish
     broker.publish(b"ch1", b"x")
@@ -60,7 +64,7 @@ def test_unsubscribe_named_channels():
     session = FakeSession("s")
     broker.subscribe(session, [b"a", b"b"])
     acks = broker.unsubscribe(session, [b"b", b"never-joined"])
-    assert acks == [unsubscribe_ack(b"b", 1), unsubscribe_ack(b"never-joined", 1)]
+    assert acks == unsub(b"b", 1) + unsub(b"never-joined", 1)
     assert broker.subscription_count(session) == 1
 
 
@@ -69,10 +73,10 @@ def test_unsubscribe_all_and_empty_case():
     session = FakeSession("s")
     broker.subscribe(session, [b"b", b"a"])
     acks = broker.unsubscribe(session)
-    assert acks == [unsubscribe_ack(b"a", 1), unsubscribe_ack(b"b", 0)]
+    assert acks == unsub(b"a", 1) + unsub(b"b", 0)
     assert broker.subscription_count(session) == 0
     # with no subscriptions at all, a single nil-channel ack comes back
-    assert broker.unsubscribe(session) == [unsubscribe_ack(None, 0)]
+    assert broker.unsubscribe(session) == b"*3\r\n$11\r\nunsubscribe\r\n$-1\r\n:0\r\n"
 
 
 def test_publish_counts_and_delivers_one_copy_each():
