@@ -177,19 +177,19 @@ def run_once(
     """Run one command (or helper) and print its reply. Exit status 0
     covers error replies too; only usage and transport failures are 1."""
     try:
-        return _run_command(conn, tokens, out, err, raw)
+        return _run_command(conn, tokens, out, err, raw, getattr(sys.stdin, "buffer", None))
     except OSError as exc:
         print(f"miniredis-cli: {exc}", file=err)
         return 1
 
 
 def _run_command(
-    conn: Connection, tokens: list[bytes], out: BinaryIO, err, raw: bool
+    conn: Connection, tokens: list[bytes], out: BinaryIO, err, raw: bool, stdin: BinaryIO | None
 ) -> int:
     """The path both modes share. Transport errors (OSError) propagate."""
     name = tokens[0].lower()
     if name in HELPER_NAMES:
-        return _run_helper(conn, name, tokens[1:], out, err, raw)
+        return _run_helper(conn, name, tokens[1:], out, err, raw, stdin)
     if name == b"subscribe":
         _subscribe(conn, tokens, out, raw)
     else:
@@ -255,12 +255,8 @@ def _parse_row(token: bytes) -> list[float]:
 
 
 def _run_helper(
-    conn: Connection,
-    name: bytes,
-    rest: list[bytes],
-    out: BinaryIO,
-    err,
-    raw: bool,
+    conn: Connection, name: bytes, rest: list[bytes], out: BinaryIO, err, raw: bool,
+    stdin: BinaryIO | None,
 ) -> int:
     try:
         if name == b"zadd-matrix":
@@ -279,7 +275,7 @@ def _run_helper(
         elif name == b"hset-blob":
             if len(rest) not in (2, 3):
                 raise ValueError("usage: hset-blob KEY FIELD [FILE]")
-            payload = _read_payload(rest[2] if len(rest) == 3 else b"-")
+            payload = _read_payload(rest[2] if len(rest) == 3 else b"-", stdin)
             created = hset_blob(conn, rest[0], rest[1], payload)
             out.write(render(Integer(created), raw))
         elif name == b"hget-blob":
@@ -299,11 +295,13 @@ def _run_helper(
     return 0
 
 
-def _read_payload(source: bytes) -> bytes:
-    if source == b"-":
-        return sys.stdin.buffer.read()
-    with open(source, "rb") as handle:
-        return handle.read()
+def _read_payload(source: bytes, stdin: BinaryIO | None) -> bytes:
+    if source != b"-":
+        with open(source, "rb") as handle:
+            return handle.read()
+    if stdin is None:  # the prompt's stdin holds the commands that follow
+        raise ValueError("usage at the prompt: hset-blob KEY FIELD FILE")
+    return stdin.read()
 
 
 def _write_payload(sink: bytes, payload: bytes, out: BinaryIO) -> None:
@@ -335,7 +333,7 @@ def repl(conn: Connection, stdin, out: BinaryIO, raw: bool = False) -> int:
         if word in (b"exit", b"quit"):
             return 0
         try:
-            _run_command(conn, tokens, out, sys.stderr, raw)
+            _run_command(conn, tokens, out, sys.stderr, raw, None)  # stdin holds the commands
         except OSError as exc:
             out.write(f"Connection lost: {exc}\n".encode())
             return 1

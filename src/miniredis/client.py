@@ -22,6 +22,7 @@ from .protocol import (
     Array,
     BulkString,
     Error,
+    Integer,
     ProtocolValue,
     StreamDecoder,
     encode_command,
@@ -169,8 +170,7 @@ def zadd_matrix(conn: Connection, key, rows: Sequence[Sequence[float]]) -> int:
     for member in members:
         (score,) = _SCORE.unpack_from(member, _ROW_COUNT.size)
         args += (format_float(score).encode("ascii"), member)
-    reply = conn.call(*args)
-    return reply.value
+    return _expect(Integer, "ZADD", conn.call(*args)).value
 
 
 def zrangebyscore_matrix(conn: Connection, key, low, high) -> list[list[float]]:
@@ -178,9 +178,11 @@ def zrangebyscore_matrix(conn: Connection, key, low, high) -> list[list[float]]:
 
     Bounds may be numbers or strings like "(100", "-inf", "+inf".
     """
-    reply = conn.call("ZRANGEBYSCORE", key, _bound_arg(low), _bound_arg(high))
-    assert isinstance(reply, Array) and reply.items is not None
-    return [list(decode_row(item.payload)) for item in reply.items]
+    command = "ZRANGEBYSCORE"
+    reply = _expect(Array, command, conn.call(command, key, _bound_arg(low), _bound_arg(high)))
+    # A null member is too short for a packed row; a null array holds no rows.
+    members = [_expect(BulkString, command, item).payload or b"" for item in reply.items or ()]
+    return [list(decode_row(member)) for member in members]
 
 
 def _bound_arg(bound) -> bytes:
@@ -194,12 +196,16 @@ def _bound_arg(bound) -> bytes:
 
 def hset_blob(conn: Connection, key, field, payload: bytes) -> int:
     """Store opaque bytes in a hash field; 1 if the field is new."""
-    reply = conn.call("HSET", key, field, payload)
-    return reply.value
+    return _expect(Integer, "HSET", conn.call("HSET", key, field, payload)).value
 
 
 def hget_blob(conn: Connection, key, field) -> bytes | None:
     """Fetch opaque bytes back, byte-for-byte; None when absent."""
-    reply = conn.call("HGET", key, field)
-    assert isinstance(reply, BulkString)
-    return reply.payload
+    return _expect(BulkString, "HGET", conn.call("HGET", key, field)).payload
+
+
+def _expect(kind: type, command: str, value: ProtocolValue):
+    """``value`` (a reply, or an item of one) if it is a ``kind``; else ReplyError."""
+    if not isinstance(value, kind):
+        raise ReplyError(f"unexpected reply to {command}: {value!r:.200} is not a {kind.__name__}")
+    return value

@@ -10,6 +10,10 @@ into one chunk (handed over early every 64 KiB) and queued; a dedicated
 writer task writes each chunk with one write. A session whose queue
 outgrows its limit is disconnected rather than stalling everyone else, and
 runs no further command.
+
+``Server.run`` is the one lifecycle. The binary must run it on the main
+thread: bench/run.py reads server CPU from ``/proc/<pid>/schedstat``, which
+counts that thread alone. ``ServerThread`` runs it on a thread of its own.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import logging
 import signal
 import sys
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, fields
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 from .errors import InlineCommandError, ProtocolError
 from .protocol import (
@@ -181,6 +186,21 @@ class Server:
         )
         log.info("listening on %s:%d", *self.address)
 
+    async def run(self, stop: asyncio.Event, started: Future) -> None:
+        """Start, hand the bound address to ``started``, serve until ``stop``
+        is set, then stop. A failed start-up goes to ``started`` instead."""
+        try:
+            await self.start()
+        except Exception as exc:
+            started.set_exception(exc)
+            return
+        started.set_result(self.address)
+        try:
+            await stop.wait()
+        finally:
+            log.info("shutting down")
+            await self.stop()
+
     async def stop(self) -> None:
         """Stop accepting, flush queued replies, close every session."""
         self._stopping = True
@@ -296,22 +316,12 @@ class Server:
 
 
 async def _serve_until_signalled(config: ServerConfig) -> None:
-    server = Server(config)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
+    """Serve until SIGINT or SIGTERM, then drain sessions and return."""
+    stop, started = asyncio.Event(), Future()
     for sig in (signal.SIGINT, signal.SIGTERM):
-        loop.add_signal_handler(sig, stop.set)
-    try:
-        await stop.wait()
-    finally:
-        log.info("shutting down")
-        await server.stop()
-
-
-def serve(config: ServerConfig) -> None:
-    """Run until SIGINT or SIGTERM, then drain sessions and return."""
-    asyncio.run(_serve_until_signalled(config))
+        asyncio.get_running_loop().add_signal_handler(sig, stop.set)
+    await Server(config).run(stop, started)
+    started.result()  # raises what start-up failed with
 
 
 class ServerThread:
@@ -329,48 +339,33 @@ class ServerThread:
         self.host = ""
         self.port = 0
         self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
+        self._stop: Callable[[], object] | None = None  # sets the serving loop's stop event
 
     def start(self) -> "ServerThread":
+        """Serve on a new thread; raises what start-up failed with, or TimeoutError after 10 s."""
+        server = Server(self.config)
+        started: Future[tuple[str, int]] = Future()
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._run()),
+            target=lambda: asyncio.run(self._serve(server, started)),
             name="miniredis-server",
             daemon=True,
         )
         self._thread.start()
-        if not self._ready.wait(timeout=10):
-            raise RuntimeError("server thread did not start in time")
-        if self._startup_error is not None:
-            self._thread.join(timeout=10)
-            raise self._startup_error
+        if started.exception(timeout=10) is not None:
+            self._thread.join(timeout=10)  # run() returned; let the loop close
+        self.host, self.port = started.result()
+        self.server = server
         return self
 
-    async def _run(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = Server(self.config)
-        try:
-            await server.start()
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.server = server
-        self.host, self.port = server.address
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await server.stop()
+    async def _serve(self, server: Server, started: Future) -> None:
+        stop, loop = asyncio.Event(), asyncio.get_running_loop()
+        self._stop = lambda: loop.call_soon_threadsafe(stop.set)
+        await server.run(stop, started)
 
     def stop(self) -> None:
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and self._thread and self._thread.is_alive():
-            loop.call_soon_threadsafe(stop.set)
-        if self._thread is not None:
+        """Stop serving and wait for the thread; a no-op unless serving."""
+        if self.server is not None and self._thread.is_alive():
+            self._stop()
             self._thread.join(timeout=10)
 
     def __enter__(self) -> "ServerThread":
@@ -415,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:
-        serve(config)
+        asyncio.run(_serve_until_signalled(config))
     except OSError as exc:
         print(
             f"miniredis-server: cannot listen on {config.bind}:{config.port}: {exc}",

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -320,3 +324,49 @@ def test_helper_file_errors_are_not_a_lost_connection(conn, tmp_path, capsys):
     assert b"Connection lost" not in out
     assert b"PONG\n" in out
     assert "No such file or directory" in capsys.readouterr().err
+
+
+def run_cli(server, *args: str, stdin: bytes) -> subprocess.CompletedProcess:
+    """``python -m miniredis.cli`` against ``server``, fed ``stdin`` through a pipe."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    command = [sys.executable, "-m", "miniredis.cli", "-h", server.host, "-p", str(server.port)]
+    command += args
+    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=30)
+
+
+def test_prompt_refuses_hset_blob_without_a_file(server, conn):
+    # Piped into the prompt, stdin holds the commands that follow hset-blob,
+    # already buffered by the prompt's reader: there is no payload to read,
+    # so nothing may be stored, and the prompt carries on.
+    done = run_cli(server, stdin=b"hset-blob k f\nPING\nHGET k f\nexit\n")
+    assert done.returncode == 0
+    assert b"(integer)" not in done.stdout
+    assert b"PONG\n(nil)\n" in done.stdout.replace(f"{server.host}:{server.port}> ".encode(), b"")
+    assert b"miniredis-cli: usage at the prompt: hset-blob KEY FIELD FILE" in done.stderr
+    assert conn.execute("EXISTS", "k") == Integer(0)
+
+
+def test_one_shot_hset_blob_reads_its_payload_from_stdin(server, conn):
+    payload = bytes(range(256)) + b"\r\nPING\r\n"
+    done = run_cli(server, "hset-blob", "k", "f", stdin=payload)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
+    assert conn.execute("HGET", "k", "f") == BulkString(payload)
+
+
+def test_repl_reports_a_wrong_shaped_helper_reply_and_carries_on(capsys):
+    class WrongShapes:
+        host, port = "stub", 0
+
+        def call(self, *args):
+            return SimpleString("OK")
+
+        def execute(self, *args):
+            return SimpleString("PONG")
+
+    out = io.BytesIO()
+    assert repl(WrongShapes(), io.StringIO("hget-blob k f\nPING\nexit\n"), out) == 0
+    assert b"PONG\n" in out.getvalue()
+    err = capsys.readouterr().err
+    assert "miniredis-cli: unexpected reply to HGET: SimpleString(text='OK') is not a BulkString" in err

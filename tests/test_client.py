@@ -335,3 +335,48 @@ def test_blob_wrongtype_surfaces_as_reply_error(conn):
     conn.execute("LPUSH", "l", "x")
     with pytest.raises(ReplyError, match="WRONGTYPE"):
         hset_blob(conn, "l", "f", b"v")
+
+
+# -- reply shapes -------------------------------------------------------------
+
+
+class _OneReply:
+    """A connection stand-in that answers every call with the same reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def call(self, *args):
+        return self.reply
+
+
+@pytest.mark.parametrize(
+    "helper,args,reply,wrong,kind",
+    [
+        (zadd_matrix, ([[1.0, 2.0]],), SimpleString("OK"), None, "Integer"),
+        (zadd_matrix, ([[1.0, 2.0]],), BulkString(b"1"), None, "Integer"),
+        (hset_blob, ("f", b"v"), BulkString(None), None, "Integer"),
+        (hget_blob, ("f",), Integer(1), None, "BulkString"),
+        (hget_blob, ("f",), Array(()), None, "BulkString"),
+        (zrangebyscore_matrix, (0, 1), Integer(0), None, "Array"),
+        (zrangebyscore_matrix, (0, 1), BulkString(b"x"), None, "Array"),
+        (zrangebyscore_matrix, (0, 1), Array((Integer(1),)), Integer(1), "BulkString"),
+        (zrangebyscore_matrix, (0, 1), Array((Array(()),)), Array(()), "BulkString"),
+    ],
+)
+def test_helpers_refuse_a_wrong_shaped_reply_with_reply_error(helper, args, reply, wrong, kind):
+    # Checked without assert, which python -O strips: a wrong shape must not
+    # surface as AttributeError, which would end the CLI's prompt. The error
+    # names the command, the part of the reply that is wrong, and its kind.
+    commands = {zadd_matrix: "ZADD", hset_blob: "HSET", hget_blob: "HGET"}
+    command = commands.get(helper, "ZRANGEBYSCORE")
+    with pytest.raises(ReplyError) as caught:
+        helper(_OneReply(reply), "k", *args)
+    wrong = reply if wrong is None else wrong
+    assert str(caught.value) == f"unexpected reply to {command}: {wrong!r} is not a {kind}"
+
+
+def test_zrange_matrix_reads_null_members_as_short_rows_and_a_null_array_as_none():
+    with pytest.raises(RowDecodeError, match="too short"):
+        zrangebyscore_matrix(_OneReply(Array((BulkString(None),))), "k", 0, 1)
+    assert zrangebyscore_matrix(_OneReply(Array(None)), "k", 0, 1) == []

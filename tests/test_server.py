@@ -273,6 +273,29 @@ def test_bind_failure_raises_and_main_reports(server):
     assert main(["--bind", server.host, "--port", str(taken)]) == 1
 
 
+def test_failed_start_leaves_no_server_thread(server):
+    before = set(threading.enumerate())
+    srv = ServerThread(ServerConfig(bind=server.host, port=server.port))
+    with pytest.raises(OSError):
+        srv.start()
+    left = [t for t in set(threading.enumerate()) - before if t.name == "miniredis-server"]
+    assert left == []
+    assert srv.server is None
+    srv.stop()  # nothing to stop
+
+
+def test_stop_before_start_and_a_second_stop_are_no_ops():
+    srv = ServerThread(ServerConfig(port=0))
+    srv.stop()
+    srv.start()
+    with Connection(srv.host, srv.port) as conn:
+        assert conn.execute("PING").text == "PONG"
+    srv.stop()
+    srv.stop()
+    with pytest.raises(OSError):
+        socket.create_connection((srv.host, srv.port), timeout=5).close()
+
+
 def test_graceful_stop_flushes_pending_replies():
     srv = ServerThread(ServerConfig(port=0))
     srv.start()
