@@ -4,8 +4,10 @@ The matrix convention stores a numeric matrix in a sorted set, one member
 per row, scored by the row's first column. Members pack the entire row
 (score included) as a big-endian u32 column count followed by IEEE-754
 binary64 columns, so decoding is exact for every finite value and needs no
-server-side cooperation. The blob convention is plainer still: hash fields
-hold arbitrary bytes untouched.
+server-side cooperation. A row given as ``array("d")`` is packed with one
+copy and one byteswap; any other sequence goes cell by cell through
+``float()``. Both give the same bytes. The blob convention is plainer
+still: hash fields hold arbitrary bytes untouched.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import functools
 import math
 import socket
 import struct
+import sys
+from array import array
 from collections import deque
 from typing import Sequence
 
@@ -120,6 +124,7 @@ class Connection:
 
 _ROW_COUNT = struct.Struct(">I")
 _SCORE = struct.Struct(">d")
+_SWAP = sys.byteorder == "little"  # native doubles -> big-endian columns
 
 
 @functools.lru_cache(maxsize=64)
@@ -127,8 +132,18 @@ def _row_struct(width: int) -> struct.Struct:
     return struct.Struct(f">I{width}d")
 
 
+@functools.lru_cache(maxsize=64)
+def _columns_struct(count: int) -> struct.Struct:
+    return struct.Struct(f">{count}d")
+
+
 def encode_row(row: Sequence[float]) -> bytes:
     """Pack one row of floats; identical rows always pack identically."""
+    if type(row) is array and row.typecode == "d":
+        values = array("d", row)  # one copy of the native doubles
+        if _SWAP:
+            values.byteswap()
+        return _ROW_COUNT.pack(len(values)) + values.tobytes()
     values = list(map(float, row))
     return _row_struct(len(values)).pack(len(values), *values)
 
@@ -144,7 +159,7 @@ def decode_row(member: bytes) -> tuple[float, ...]:
             f"member claims {count} columns ({expected} bytes) but has "
             f"{len(member)}: {_preview(member)}"
         )
-    return struct.unpack_from(f">{count}d", member, _ROW_COUNT.size)
+    return _columns_struct(count).unpack_from(member, _ROW_COUNT.size)
 
 
 def _preview(member: bytes) -> str:

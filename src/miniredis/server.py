@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import itertools
 import logging
 import signal
 import sys
 import threading
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError  # the builtin from 3.11 on
 from dataclasses import dataclass, fields
 from typing import Callable, get_type_hints
 
@@ -324,6 +326,9 @@ async def _serve_until_signalled(config: ServerConfig) -> None:
     started.result()  # raises what start-up failed with
 
 
+START_TIMEOUT_S = 10.0  # how long ServerThread waits for its thread to start or stop
+
+
 class ServerThread:
     """A Server on its own event-loop thread; for tests and embedding.
 
@@ -342,31 +347,41 @@ class ServerThread:
         self._stop: Callable[[], object] | None = None  # sets the serving loop's stop event
 
     def start(self) -> "ServerThread":
-        """Serve on a new thread; raises what start-up failed with, or TimeoutError after 10 s."""
+        """Serve on a new thread; raises what start-up failed with, or
+        TimeoutError after ``START_TIMEOUT_S`` once the thread has ended."""
         server = Server(self.config)
         started: Future[tuple[str, int]] = Future()
+        give_up: Future[None] = Future()
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._serve(server, started)),
+            target=lambda: asyncio.run(self._serve(server, started, give_up)),
             name="miniredis-server",
             daemon=True,
         )
         self._thread.start()
-        if started.exception(timeout=10) is not None:
-            self._thread.join(timeout=10)  # run() returned; let the loop close
+        try:
+            if started.exception(timeout=START_TIMEOUT_S) is not None:
+                self._thread.join(timeout=START_TIMEOUT_S)  # run() returned; let the loop close
+        except FutureTimeoutError:
+            give_up.set_result(None)  # cancels the serving task on its loop
+            self._thread.join(timeout=START_TIMEOUT_S)
+            raise
         self.host, self.port = started.result()
         self.server = server
         return self
 
-    async def _serve(self, server: Server, started: Future) -> None:
-        stop, loop = asyncio.Event(), asyncio.get_running_loop()
+    async def _serve(self, server: Server, started: Future, give_up: Future) -> None:
+        stop, loop, task = asyncio.Event(), asyncio.get_running_loop(), asyncio.current_task()
         self._stop = lambda: loop.call_soon_threadsafe(stop.set)
-        await server.run(stop, started)
+        # Runs at once if start() gave up before this coroutine began.
+        give_up.add_done_callback(lambda _: loop.call_soon_threadsafe(task.cancel))
+        with contextlib.suppress(asyncio.CancelledError):
+            await server.run(stop, started)
 
     def stop(self) -> None:
         """Stop serving and wait for the thread; a no-op unless serving."""
         if self.server is not None and self._thread.is_alive():
             self._stop()
-            self._thread.join(timeout=10)
+            self._thread.join(timeout=START_TIMEOUT_S)
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import socket
 import struct
+from array import array
 
 from unittest import mock
 
@@ -171,6 +172,51 @@ def test_row_roundtrip_is_exact_for_all_floats(row):
     ]
 
 
+# Bit patterns the float64 fast path must carry unchanged: quiet NaNs with
+# payloads, a signalling NaN, both zeros, both infinities, subnormals.
+_SPECIAL_BITS = [
+    0x7FF8000000000000, 0xFFF8000000000001, 0x7FF80000DEADBEEF, 0x7FF0000000000001,
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF,
+]
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_float64_rows_pack_like_struct_for_every_bit_pattern(bits):
+    n = len(bits)
+    row = array("d", struct.pack(f"={n}Q", *bits))
+    packed = struct.pack(">I%dd" % n, n, *row)
+    assert encode_row(row) == packed
+    assert encode_row(list(row)) == packed
+    assert packed[4:] == b"".join(b.to_bytes(8, "big") for b in bits)
+
+
+class _Row(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "row",
+    [array("f", [1.5, -0.0, 3.25]), (1.5, -0.0, 3.25), _Row([1.5, -0.0, 3.25])],
+    ids=["array-f", "tuple", "list-subclass"],
+)
+def test_other_sequences_take_the_general_path_and_give_the_same_bytes(row):
+    assert encode_row(row) == struct.pack(">Iddd", 3, 1.5, -0.0, 3.25)
+    assert encode_row(row) == encode_row(array("d", [1.5, -0.0, 3.25]))
+
+
+@pytest.mark.parametrize("count", [1, 3, 384])
+def test_decode_row_returns_a_tuple_for_every_column_count(count):
+    row = tuple(float(i) / 7 for i in range(count))
+    assert decode_row(encode_row(row)) == row
+
+
 @pytest.mark.parametrize(
     "member",
     [b"", b"abc", b"\x00\x00\x00\x02" + b"x" * 8, b"\x00\x00\x00\x01"],
@@ -258,6 +304,34 @@ def test_zadd_matrix_converts_each_value_once_and_encodes_each_row_once(conn):
     assert _Counted.conversions == 100 and spy.call_count == 50
     assert zrangebyscore_matrix(conn, "z", "-inf", "+inf") == [
         [float(i), i / 3, 2.5] for i in range(50)
+    ]
+
+
+def test_float64_matrix_fails_before_any_send_when_ragged_or_empty(conn):
+    with pytest.raises(ValueError, match="ragged"):
+        zadd_matrix(conn, "never", [array("d", [1.0, 2.0]), array("d", [3.0])])
+    with pytest.raises(ValueError, match="at least one column"):
+        zadd_matrix(conn, "never", [array("d"), array("d")])
+    assert conn.execute("EXISTS", "never") == Integer(0)
+
+
+def test_float64_matrix_encodes_each_row_once_through_the_module(conn):
+    rows = [array("d", [float(i), i / 3, -0.0]) for i in range(50)]
+    with mock.patch.object(client, "encode_row", wraps=encode_row) as encode_spy:
+        assert zadd_matrix(conn, "z", rows) == 50
+    assert encode_spy.call_count == 50
+    with mock.patch.object(client, "decode_row", wraps=decode_row) as decode_spy:
+        stored = zrangebyscore_matrix(conn, "z", "-inf", "+inf")
+    assert decode_spy.call_count == 50
+    assert stored == [list(row) for row in rows]
+
+
+def test_float64_matrix_roundtrip_is_exact(conn):
+    rows = [array("d", [5.0, math.inf, -0.0, 2.0**-1074]), array("d", [1.0, -math.inf, 0.1, 1e308])]
+    assert zadd_matrix(conn, "z", rows) == 2
+    stored = zrangebyscore_matrix(conn, "z", "-inf", "+inf")
+    assert [struct.pack(">4d", *row) for row in stored] == [
+        struct.pack(">4d", *row) for row in reversed(rows)
     ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import gc
 import os
 import queue
@@ -280,6 +281,22 @@ def test_failed_start_leaves_no_server_thread(server):
         srv.start()
     left = [t for t in set(threading.enumerate()) - before if t.name == "miniredis-server"]
     assert left == []
+    assert srv.server is None
+    srv.stop()  # nothing to stop
+
+
+def test_start_up_timeout_leaves_no_server_thread(monkeypatch):
+    async def never_listens(self):
+        await asyncio.Event().wait()
+
+    monkeypatch.setattr(Server, "start", never_listens)
+    monkeypatch.setattr(miniredis.server, "START_TIMEOUT_S", 0.5)
+    before = set(threading.enumerate())
+    srv = ServerThread(ServerConfig(port=0))
+    with pytest.raises(concurrent.futures.TimeoutError):  # TimeoutError from 3.11
+        srv.start()
+    left = [t for t in set(threading.enumerate()) - before if t.name == "miniredis-server"]
+    assert left == [], "the serving thread outlived the start-up timeout"
     assert srv.server is None
     srv.stop()  # nothing to stop
 

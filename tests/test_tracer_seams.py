@@ -2,16 +2,20 @@
 
 ``bench/tracing.py`` wraps miniredis functions by name from outside
 ``src/``, and the benchmark refuses a run in which a per-layer metric has
-no spans. This test installs both sets of wrappers, drives one SUBSCRIBE and
-one PUBLISH through a real server, and checks that the spans the pub/sub and
-session metrics are built from were recorded, so a change that moves one of
-those seams fails here rather than only in a traced benchmark run.
+no spans. These tests install the wrappers and drive a real server: one
+SUBSCRIBE and one PUBLISH for the pub/sub and session metrics, and one
+``zadd_matrix`` of ``array("d")`` rows plus one ``zrangebyscore_matrix``
+for the client's row codec and helpers. They check that the spans those
+metrics are built from were recorded, so a change that moves one of those
+seams fails here rather than only in a traced benchmark run.
 """
 
 from __future__ import annotations
 
 import asyncio
 import importlib.util
+from array import array
+from collections import Counter
 from pathlib import Path
 
 from miniredis import client, datastore, protocol, pubsub, router, server
@@ -67,3 +71,20 @@ def test_tracer_records_every_pubsub_and_session_seam(monkeypatch):
     }
     assert expected <= recorded, expected - recorded
     assert len(tracer.arrays["wait_ns"]) >= 1
+
+
+def test_tracer_records_the_row_codec_and_helper_of_float64_matrices(monkeypatch):
+    tracing = _load_tracing()
+    _restore_wrapped_attributes(monkeypatch)
+    tracer = tracing.Tracer()
+    tracing.install_client_wrappers(tracer)
+    rows = [array("d", [float(i), 2.0, 3.0]) for i in range(3)]
+    with ServerThread() as srv, Connection(srv.host, srv.port) as conn:
+        tracer.phase = 1
+        assert client.zadd_matrix(conn, "m", rows) == 3
+        assert client.zrangebyscore_matrix(conn, "m", "-inf", "+inf") == [list(r) for r in rows]
+        tracer.phase = 0
+    recorded = Counter(tracer.names[nid] for nid in tracer.arrays["name"])
+    # one encode_row per row and one decode_row per member, inside two helper calls
+    assert recorded["client.row_codec"] == 6, recorded
+    assert recorded["client.helper"] == 2, recorded
