@@ -32,6 +32,12 @@ commands that doubles each time, so frames that defeat it cost a few small
 window copies, not one per item. That back-off belongs to the array or the
 run of commands that earned it and starts afresh with the next.
 
+A bulk body cut by a read is gathered outside the line buffer: the part
+already read moves into a buffer of its own, later reads write theirs
+straight in, and the whole body is handed over with no further copy. A large
+argument so peaks at about 1.1 times its size, not twice it, and grows only
+with the bytes that arrived, never with the length its header announces.
+
 The server frames replies, acks and errors with one framer per shape
 (``encode_bulk``, ``encode_command``, ``encode_int``, ``encode_error``);
 only pub/sub messages go through the typed values and ``encode``.
@@ -39,6 +45,7 @@ only pub/sub messages go through the typed values and ``encode``.
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 from collections import deque
@@ -273,6 +280,7 @@ class _Decoder:
         self._base = 0
         self._scanned = 0
         self._bulk = -1  # length of the bulk body being awaited, else -1
+        self._body: io.BytesIO | None = None  # that body, gathered (_decode)
         self._broken = False
         # The split's header of each body length it takes (under 256 bytes,
         # within the limits); other lengths give None, which equals no header.
@@ -287,16 +295,34 @@ class _Decoder:
     def _decode(self, data: bytes, out: list) -> None:
         """Run the subclass's ``_run(buf, view, out)``, which appends every
         entry ``data`` completes and returns how many bytes it consumed,
-        then drop those bytes. On ProtocolError the decoder is poisoned."""
+        then drop those bytes. On ProtocolError the decoder is poisoned.
+
+        A body cut by the read is gathered in ``_body`` (see the module
+        docstring). While bytes of it are due, ``_buf`` is empty and a read
+        goes straight in, up to the body's end."""
         if self._broken:
             raise RuntimeError("decoder is unusable after a protocol error")
+        body = self._body
+        if body is not None:
+            due = self._bulk - body.tell()
+            if len(data) <= due:
+                body.write(data)
+                self._base += len(data)
+                return
+            body.write(memoryview(data)[:due])
+            self._base += due
+            data = memoryview(data)[due:]
         buf = self._buf
         buf += data
         try:
             with memoryview(buf) as view:
                 pos = self._run(buf, view, out)
+                if self._bulk >= 0 and self._body is None:
+                    self._body = body = io.BytesIO()
+                    body.write(view[pos : pos + self._bulk])
+                    pos += body.tell()
         except ProtocolError:
-            self._broken = True
+            self._broken, self._body = True, None
             raise
         del buf[:pos]
         self._base += pos
@@ -317,15 +343,22 @@ class _Decoder:
             raise ProtocolError("line exceeds maximum length", self._base + start)
         return buf[start:end], end + 2
 
-    def _bulk_body(self, buf: bytearray, view: memoryview, pos: int) -> bytes | None:
-        """The awaited bulk body at ``pos``, or None while incomplete."""
-        end = pos + self._bulk
+    def _bulk_body(
+        self, buf: bytearray, view: memoryview, pos: int
+    ) -> tuple[bytes, int] | None:
+        """The awaited bulk body at ``pos`` and the offset after its CRLF, or
+        None while incomplete. A gathered body ends where its CRLF begins."""
+        body = self._body
+        end = pos if body is not None else pos + self._bulk
         if len(buf) < end + 2:
             return None
         if buf[end : end + 2] != CRLF:
             raise ProtocolError("bulk string missing trailing CRLF", self._base + end)
         self._bulk = -1
-        return bytes(view[pos:end])
+        if body is None:
+            return bytes(view[pos:end]), end + 2
+        self._body = None
+        return body.getvalue(), end + 2  # the buffer itself, not a copy
 
     def _bulk_items(
         self, buf: bytearray, view: memoryview, pos: int, items: list, count: int
@@ -493,11 +526,11 @@ class StreamDecoder(_Decoder):
         while pos < n:
             value: ProtocolValue
             if self._bulk >= 0:
-                body = self._bulk_body(buf, view, pos)
-                if body is None:
+                found = self._bulk_body(buf, view, pos)
+                if found is None:
                     break
+                body, pos = found
                 value = BulkString(body)
-                pos += len(body) + 2
             else:
                 marker = buf[pos]
                 if marker not in _MARKERS:
@@ -614,11 +647,11 @@ class RequestDecoder(_Decoder):
         pos, n = 0, len(buf)
         while pos < n:
             if self._bulk >= 0:
-                body = self._bulk_body(buf, view, pos)
-                if body is None:
+                found = self._bulk_body(buf, view, pos)
+                if found is None:
                     break
+                body, pos = found
                 argv.append(body)
-                pos += len(body) + 2
             elif argv is not None:
                 if buf[pos] != 0x24:  # $
                     raise ProtocolError(

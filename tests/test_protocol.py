@@ -26,6 +26,7 @@ from miniredis import protocol
 from miniredis.cli import _quote
 from miniredis.errors import InlineCommandError, ProtocolError
 from miniredis.protocol import (
+    CRLF,
     INT64_MAX,
     INT64_MIN,
     Array,
@@ -610,6 +611,85 @@ def test_decoder_keeps_no_reference_to_an_array_it_returned():
     first = weakref.ref(value.items[0])
     del value
     assert first() is None
+
+
+# -- bodies cut by reads ------------------------------------------------------
+
+
+def _bulk_command(cls, body_size: int) -> bytes:
+    """The header of a ``body_size`` bulk: a command of that one argument
+    (RequestDecoder) or the bulk alone (StreamDecoder)."""
+    return (b"*1\r\n" if cls is RequestDecoder else b"") + b"$%d\r\n" % body_size
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_large_bulk_in_64kib_reads_peaks_near_its_size(cls):
+    # A body cut by reads is gathered outside the line buffer and handed over
+    # with no copy: 1.12x its size at peak. Grown in the line buffer and then
+    # copied out, it peaked at 2.12x.
+    size = 32 << 20
+    reads = _reads(_bulk_command(cls, size) + bytes(size) + CRLF)
+    decoder = cls()
+    tracemalloc.start()
+    try:
+        [value] = [item for read in reads for item in decoder.feed(read)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body = value[0] if cls is RequestDecoder else value.payload
+    assert type(body) is bytes and body == bytes(size)
+    assert peak <= 1.3 * size, f"peak {peak / size:.2f}x the body (bound 1.3)"
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_bulk_header_alone_costs_no_memory(cls):
+    # One line may announce a body of up to max_bulk_length (512 MiB). Nothing
+    # is sized from that: with the header and 3 body bytes in, the decoder
+    # holds about what arrived.
+    wire = _bulk_command(cls, 536_870_000) + b"abc"
+    assert 536_870_000 < DecodeLimits().max_bulk_length
+    decoder = cls()
+    tracemalloc.start()
+    try:
+        assert decoder.feed(wire) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    if cls is StreamDecoder:
+        assert decoder.pending_bytes == len(wire)
+
+
+@pytest.mark.parametrize("cls", [RequestDecoder, StreamDecoder])
+def test_gathered_body_without_trailing_crlf_is_refused_and_dropped(cls):
+    # The same reason and offset (where the CRLF belongs) as a body that
+    # arrived whole, and the poisoned decoder keeps nothing of the body.
+    size = 1 << 20
+    wire = _bulk_command(cls, size) + bytes(size) + b"XX"
+    whole = _feed_until_error(cls(), wire, whole=True)
+    decoder = cls()
+    tracemalloc.start()
+    try:
+        for read in _reads(wire):
+            try:
+                got = decoder.feed(read)
+            except ProtocolError as exc:  # StreamDecoder raises
+                got = [exc]
+            if got:
+                break
+        [error] = got
+        assert isinstance(error, ProtocolError)
+        reason, offset = error.reason, error.offset
+        del error, got  # its traceback holds the frames that gathered the body
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (reason, offset) == (whole.reason, whole.offset)
+    assert (reason, offset) == ("bulk string missing trailing CRLF", len(wire) - 2)
+    assert held < 64 * 1024, held
+    with pytest.raises(RuntimeError):
+        decoder.feed(CRLF)
 
 
 # -- inline tokenizer -------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import gc
 import os
 import queue
@@ -595,14 +596,19 @@ def test_main_rejects_bad_config(tmp_path):
     assert main(["--config", str(path)]) == 1
 
 
+def _server_env() -> dict[str, str]:
+    """This environment, with the tested package's source first on the path."""
+    src = str(Path(miniredis.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 @pytest.mark.skipif(
     not hasattr(signal, "SIGTERM") or sys.platform == "win32",
     reason="needs SIGTERM and loop.add_signal_handler",
 )
 def test_server_binary_stops_cleanly_on_sigterm():
-    src = str(Path(miniredis.__file__).resolve().parent.parent)
-    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = _server_env()
     # -W: importing the package must not import miniredis.server before runpy
     # executes it as __main__, which warns.
     command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "miniredis.server"]
@@ -646,3 +652,47 @@ def test_server_binary_stops_cleanly_on_sigterm():
             if proc.poll() is None:
                 proc.kill()
             pump.join(timeout=10)
+
+
+@contextlib.contextmanager
+def _server_process(log_path: Path):
+    """``python -m miniredis.server --port 0`` in its own process, as the
+    benchmark runs it; yields (pid, port) once it is listening."""
+    command = [sys.executable, "-m", "miniredis.server", "--port", "0"]
+    with open(log_path, "wb") as log, subprocess.Popen(
+        command, stdout=subprocess.DEVNULL, stderr=log, env=_server_env()
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 10
+            while not (found := re.search(rb"listening on \S+?:(\d+)", log_path.read_bytes())):
+                assert proc.poll() is None and time.monotonic() < deadline, log_path.read_text()
+                time.sleep(0.005)
+            yield proc.pid, int(found.group(1))
+        finally:
+            proc.kill()
+
+
+def _peak_rss(pid: int) -> int:
+    """The process's peak resident set size (``VmHWM``), in bytes."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(re.search(r"^VmHWM:\s+(\d+) kB", status, re.M).group(1)) * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_one_large_set_raises_server_peak_rss_by_about_its_size(tmp_path):
+    # The value arrives in many reads. Gathered outside the decoder's line
+    # buffer, it raises the server's peak RSS by about its size; grown in
+    # that buffer and then copied out, it raised it by twice that. A GET of
+    # it would overflow the default output-queue-limit (32 MiB) and be cut.
+    size = 32 << 20
+    with _server_process(tmp_path / "server.log") as (pid, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(resp_command(b"PING"))
+            assert recv_exactly(sock, 7) == b"+PONG\r\n"
+            before = _peak_rss(pid)
+            sock.sendall(b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$%d\r\n" % size)
+            sock.sendall(bytes(size))
+            sock.sendall(b"\r\n")
+            assert recv_exactly(sock, 5) == b"+OK\r\n"
+            rise = _peak_rss(pid) - before
+    assert rise <= 1.3 * size, f"peak RSS rose by {rise / size:.2f}x the value (bound 1.3)"
