@@ -29,9 +29,14 @@ from .protocol import INT64_MAX, INT64_MIN, strict_int
 _CHUNK_LOAD = 1000
 _score_of = itemgetter(0)
 _member_of = itemgetter(1)
+_last_of = itemgetter(-1)
 _UNDERSCORE = ord("_")
 # Bytes that float() takes where a score must not have them (whitespace, _).
 _FLOAT_ONLY_BYTE = re.compile(rb"[\x00- _]").search
+
+
+def _last_score_of(chunk: list[tuple[float, bytes]]) -> float:
+    return chunk[-1][0]
 
 
 def parse_int(raw: bytes) -> int:
@@ -128,16 +133,14 @@ class SortedSet:
 
     The ordering lives in a chunked sorted list, the design of Grant Jenks's
     ``sortedcontainers`` SortedList: ``_chunks`` holds sorted runs of
-    (score, member) pairs, each split in half once it outgrows twice
-    ``_CHUNK_LOAD`` and merged into a neighbour once it falls below
-    ``_CHUNK_LOAD // 2``, and ``_maxes`` holds the last pair of each chunk,
-    so a bisect on ``_maxes`` picks the chunk and a bisect inside it the
-    slot. A dict carries member -> score for O(1) lookups.
+    (score, member) pairs. A bisect of ``_chunks`` on each chunk's last pair
+    picks the chunk and a bisect inside it the slot. After each one-member
+    change ``_rebalance`` splits, drops or merges the chunk it touched. A
+    dict carries member -> score for O(1) lookups.
     """
 
     def __init__(self) -> None:
         self._chunks: list[list[tuple[float, bytes]]] = []
-        self._maxes: list[tuple[float, bytes]] = []
         self._scores: dict[bytes, float] = {}
 
     def __len__(self) -> int:
@@ -176,7 +179,6 @@ class SortedSet:
         self._chunks = [
             ordered[i : i + _CHUNK_LOAD] for i in range(0, len(ordered), _CHUNK_LOAD)
         ]
-        self._maxes = [chunk[-1] for chunk in self._chunks]
         return len(scores) - before
 
     def remove(self, member: bytes) -> bool:
@@ -190,12 +192,13 @@ class SortedSet:
         """Members whose score lies inside [low, high], in rank order."""
         find_low = bisect_right if low.exclusive else bisect_left
         find_high = bisect_left if high.exclusive else bisect_right
-        pos = find_low(self._maxes, low.value, key=_score_of)
-        if pos == len(self._chunks):
+        chunks = self._chunks
+        pos = find_low(chunks, low.value, key=_last_score_of)
+        if pos == len(chunks):
             return []
-        start = find_low(self._chunks[pos], low.value, key=_score_of)
+        start = find_low(chunks[pos], low.value, key=_score_of)
         out: list[bytes] = []
-        for chunk in islice(self._chunks, pos, None):
+        for chunk in islice(chunks, pos, None):
             stop = find_high(chunk, high.value, key=_score_of)
             out += map(_member_of, chunk[start:stop])
             if stop < len(chunk):
@@ -208,46 +211,38 @@ class SortedSet:
         return chain.from_iterable(self._chunks)
 
     def _insert(self, pair: tuple[float, bytes]) -> None:
-        chunks, maxes = self._chunks, self._maxes
-        if not maxes:
+        chunks = self._chunks
+        if not chunks:
             chunks.append([pair])
-            maxes.append(pair)
             return
-        pos = min(bisect_left(maxes, pair), len(maxes) - 1)
-        chunk = chunks[pos]
-        insort(chunk, pair)
-        maxes[pos] = chunk[-1]
-        self._split_if_full(pos)
+        pos = min(bisect_left(chunks, pair, key=_last_of), len(chunks) - 1)
+        insort(chunks[pos], pair)
+        self._rebalance(pos)
 
     def _discard(self, pair: tuple[float, bytes]) -> None:
-        chunks, maxes = self._chunks, self._maxes
-        pos = bisect_left(maxes, pair)
-        chunk = chunks[pos]
+        pos = bisect_left(self._chunks, pair, key=_last_of)
+        chunk = self._chunks[pos]
         index = bisect_left(chunk, pair)
         if chunk[index] != pair:
             raise AssertionError("sorted-set index out of sync")
         del chunk[index]
-        if len(chunk) >= _CHUNK_LOAD // 2 or len(chunks) == 1:
-            if not chunk:
-                del chunks[pos], maxes[pos]
-            elif index == len(chunk):
-                maxes[pos] = chunk[-1]
-            return
-        # An underfilled chunk joins its left neighbour (the first chunk
-        # takes in the second), so a shrinking set also sheds chunks.
-        pos = max(pos, 1)
-        chunks[pos - 1] += chunks[pos]
-        del chunks[pos], maxes[pos]
-        maxes[pos - 1] = chunks[pos - 1][-1]
-        self._split_if_full(pos - 1)
+        self._rebalance(pos)
 
-    def _split_if_full(self, pos: int) -> None:
-        """Split chunk ``pos`` in two once it outgrows twice the load."""
-        chunk = self._chunks[pos]
-        if len(chunk) > 2 * _CHUNK_LOAD:
-            self._chunks.insert(pos + 1, chunk[_CHUNK_LOAD:])
+    def _rebalance(self, pos: int) -> None:
+        """Merge chunk ``pos`` into its left neighbour (the first chunk takes
+        in the second) if it is shorter than ``_CHUNK_LOAD // 2`` and not
+        the only chunk, so a shrinking set sheds chunks. Then drop the chunk
+        if empty, or split it in half once it outgrows twice the load."""
+        chunks = self._chunks
+        if len(chunks[pos]) < _CHUNK_LOAD // 2 and len(chunks) > 1:
+            pos = max(pos, 1) - 1
+            chunks[pos] += chunks.pop(pos + 1)
+        chunk = chunks[pos]
+        if not chunk:
+            del chunks[pos]
+        elif len(chunk) > 2 * _CHUNK_LOAD:
+            chunks.insert(pos + 1, chunk[_CHUNK_LOAD:])
             del chunk[_CHUNK_LOAD:]
-            self._maxes.insert(pos, chunk[-1])
 
 
 class MemberSet(set):

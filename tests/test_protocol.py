@@ -843,8 +843,21 @@ _SMALL_LIMIT_VALUES = {
     "max_depth": [2, 32],
     "max_line_length": [1, 2, 3, 8, 64],
 }
-_SMALL_LIMITS = st.builds(
-    DecodeLimits, **{name: st.sampled_from(values) for name, values in _SMALL_LIMIT_VALUES.items()}
+_SMALL_LIMITS = st.one_of(
+    st.builds(
+        DecodeLimits,
+        **{name: st.sampled_from(values) for name, values in _SMALL_LIMIT_VALUES.items()},
+    ),
+    # Half the draws keep the default line and array lengths, so that more
+    # examples get past the headers and reach the bulk-body paths.
+    st.builds(
+        DecodeLimits,
+        **{
+            name: st.sampled_from(values)
+            for name, values in _SMALL_LIMIT_VALUES.items()
+            if name not in ("max_line_length", "max_array_length")
+        },
+    ),
 )
 
 # How a bulk header spells its length: plainly, zero-padded (up to past the

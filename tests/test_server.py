@@ -696,3 +696,59 @@ def test_one_large_set_raises_server_peak_rss_by_about_its_size(tmp_path):
             assert recv_exactly(sock, 5) == b"+OK\r\n"
             rise = _peak_rss(pid) - before
     assert rise <= 1.3 * size, f"peak RSS rose by {rise / size:.2f}x the value (bound 1.3)"
+
+
+def test_half_closed_client_gets_every_reply_before_the_close(tmp_path):
+    # 2 000 SET/GET pairs answer with 104 000 bytes, past 64 KiB, so the
+    # replies leave in several flushes while the client's FIN is already in.
+    value = b"v" * 40
+    request = b"".join(
+        resp_command(b"SET", b"k%d" % i, value) + resp_command(b"GET", b"k%d" % i)
+        for i in range(2000)
+    )
+    with _server_process(tmp_path / "server.log") as (_, port):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+            received = recv_until_closed(sock)
+            # recv_until_closed also stops at the read timeout; this asks for EOF.
+            assert sock.recv(1) == b"", "the server did not close the connection"
+    assert received == (b"+OK\r\n$40\r\n" + value + b"\r\n") * 2000
+
+
+def _rss(pid: int) -> int:
+    """The process's resident set size (``VmRSS``), in bytes."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(re.search(r"^VmRSS:\s+(\d+) kB", status, re.M).group(1)) * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+def test_parked_partial_frames_cost_memory_linear_in_what_was_sent(tmp_path):
+    # Eight clients each park a 32 KiB inline line with no newline, and eight
+    # a SET whose announced 1 MiB bulk stops after 256 KiB. The server holds
+    # what they sent and no more than a small multiple of it, and still
+    # serves a fresh client.
+    line = b"x" * (32 << 10)
+    bulk_head = b"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$%d\r\n" % (1 << 20) + bytes(256 << 10)
+    parked = 8 * (len(line) + len(bulk_head))
+    with _server_process(tmp_path / "server.log") as (pid, port):
+        address = ("127.0.0.1", port)
+        with contextlib.ExitStack() as stack:
+            fresh = stack.enter_context(socket.create_connection(address, timeout=10))
+            fresh.sendall(resp_command(b"PING"))
+            assert recv_exactly(fresh, 7) == b"+PONG\r\n"
+            before = _rss(pid)
+            for payload in [line] * 8 + [bulk_head] * 8:
+                sock = stack.enter_context(socket.create_connection(address, timeout=10))
+                sock.sendall(payload)
+            # Replies to the fresh client come after the server has had the
+            # parked bytes to read; the pause lets it finish reading them.
+            time.sleep(0.2)
+            fresh.sendall(resp_command(b"PING"))
+            assert recv_exactly(fresh, 7) == b"+PONG\r\n"
+            fresh.sendall(resp_command(b"SET", b"fresh", b"1") + resp_command(b"GET", b"fresh"))
+            assert recv_exactly(fresh, 12) == b"+OK\r\n$1\r\n1\r\n"
+            rise = _rss(pid) - before
+    assert rise <= 3 * parked + (2 << 20), (
+        f"RSS rose by {rise >> 10} KiB for {parked >> 10} KiB parked"
+    )
