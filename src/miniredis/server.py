@@ -4,12 +4,9 @@ Concurrency model: any number of connections, one logical executor. All
 command dispatch runs on the event loop with no awaits in between, so
 commands from different sessions serialize naturally and each one sees a
 consistent keyspace. Replies and protocol errors are framed as wire bytes;
-only pub/sub message deliveries go through ``encode``.
-Per session, the replies to everything one socket read decodes are joined
-into one chunk (handed over early every 64 KiB) and queued; a dedicated
-writer task writes each chunk with one write. A session whose queue
-outgrows its limit is disconnected rather than stalling everyone else, and
-runs no further command.
+only pub/sub message deliveries go through ``encode``. ``Session`` decides
+what each socket read does; the server only feeds it reads and writes out
+what it queues.
 
 ``Server.run`` is the one lifecycle. The binary must run it on the main
 thread: bench/run.py reads server CPU from ``/proc/<pid>/schedstat``, which
@@ -114,29 +111,80 @@ def build_config(pairs: dict[str, str]) -> ServerConfig:
 
 
 class Session:
-    """One client connection and its outbound queue."""
+    """One client connection: what each socket read does, and its outbound queue.
+
+    ``receive`` decodes one read and runs its commands. Their replies are
+    joined into one chunk, handed over early every ``FLUSH_BYTES``, and
+    queued; the server's writer task writes each chunk with one write. The
+    replies stay in order with pub/sub deliveries: nothing awaits between
+    decoding and the flush, so no other session runs meanwhile, and a
+    subscribed session cannot PUBLISH, so it cannot deliver to itself.
+
+    ``close(reason)`` ends the session: the first reason wins, and the writer
+    gets one ``None`` with nothing after it. A session whose queue outgrows
+    its limit is closed rather than stalling everyone else, and runs no
+    further command. Only ``queue.put_nowait`` is called here, so a Session
+    runs with no event loop and can be drained with ``get_nowait``.
+    """
 
     _ids = itertools.count(1)
 
     def __init__(
-        self, writer: asyncio.StreamWriter, limits: DecodeLimits, queue_limit: int
+        self, writer: asyncio.StreamWriter, router: Router, limits: DecodeLimits, queue_limit: int
     ):
         self.id = next(self._ids)
         self.writer = writer
         self.peer = writer.get_extra_info("peername")
+        self.router = router
         self.decoder = RequestDecoder(limits)
         self.queue: asyncio.Queue[bytes | None] = asyncio.Queue()
         self.queue_limit = queue_limit
         self.queued_bytes = 0
         self.close_requested = False  # set by QUIT
-        self.closing = False
+        self.close_reason: str | None = None
+
+    def receive(self, data: bytes) -> None:
+        """Run the commands one socket read completes and queue their replies."""
+        if self.close_reason is not None:
+            return  # closed while the server awaited this read: run none of it
+        parts: list[bytes] = []
+        size = 0
+        reason = None
+        try:
+            for item in self.decoder.feed(data):
+                if isinstance(item, InlineCommandError):
+                    out = encode_error(f"ERR Protocol error: {item}")
+                elif isinstance(item, ProtocolError):
+                    # Fatal framing error: tell the client, then hang up.
+                    out = encode_error(f"ERR Protocol error: {item.reason}")
+                    reason = f"protocol error: {item}"
+                else:
+                    out = self.router.dispatch(self, item)
+                    if self.close_requested:
+                        reason = "QUIT"
+                parts.append(out)
+                size += len(out)
+                # Hand over early at FLUSH_BYTES, and as soon as the output
+                # queue would overflow, so an overflowing session is cut
+                # before its next command runs.
+                if size >= FLUSH_BYTES or size + self.queued_bytes > self.queue_limit:
+                    self.send_bytes(b"".join(parts))
+                    parts.clear()
+                    size = 0
+                if reason or self.close_reason is not None:
+                    break
+        finally:
+            if parts:
+                self.send_bytes(b"".join(parts))  # a lone part is passed on uncopied
+            if reason:
+                self.close(reason)
 
     def deliver_frame(self, value) -> None:
         self.send_bytes(encode(value))
 
     def send_bytes(self, data: bytes) -> None:
-        """Queue one complete reply; overflow disconnects the session."""
-        if self.closing:
+        """Queue one complete reply; overflow closes the session."""
+        if self.close_reason is not None:
             return
         self.queued_bytes += len(data)
         if self.queued_bytes > self.queue_limit:
@@ -146,21 +194,15 @@ class Session:
                 self.peer,
                 self.queue_limit,
             )
-            self.request_close()
+            self.close("output queue overflow")
             return
         self.queue.put_nowait(data)
 
-    def request_close(self) -> None:
-        if not self.closing:
-            self.closing = True
+    def close(self, reason: str) -> None:
+        """Close for ``reason`` unless already closed; the writer stops at the ``None``."""
+        if self.close_reason is None:
+            self.close_reason = reason
             self.queue.put_nowait(None)
-
-
-def _flush(session: Session, parts: list[bytes]) -> None:
-    """Queue the buffered replies as one chunk and empty the buffer."""
-    if parts:
-        session.send_bytes(b"".join(parts))  # a lone part is passed on uncopied
-        parts.clear()
 
 
 class Server:
@@ -218,7 +260,7 @@ class Server:
             await self._listener.wait_closed()
             self._listener = None
         for session in self._sessions:
-            session.request_close()
+            session.close("server stopping")
         if self._sessions:
             _, pending = await asyncio.wait(list(self._sessions.values()), timeout=5)
             for task in pending:
@@ -242,79 +284,35 @@ class Server:
                 pass
             writer.close()
             return
-        session = Session(writer, self._limits, self.config.output_queue_limit)
+        session = Session(writer, self.router, self._limits, self.config.output_queue_limit)
         self._sessions[session] = asyncio.current_task()
         log.info("session %d connected from %s", session.id, session.peer)
         writer_task = asyncio.create_task(self._writer_loop(session))
         try:
-            await self._reader_loop(session, reader)
+            with contextlib.suppress(ConnectionError, OSError):
+                while session.close_reason is None and (data := await reader.read(65536)):
+                    session.receive(data)
         finally:
             self.router.broker.drop_session(session)
-            session.request_close()
-            try:
+            session.close("connection closed")
+            with contextlib.suppress(asyncio.CancelledError):
                 await writer_task
-            except asyncio.CancelledError:
-                pass
             del self._sessions[session]
-            log.info("session %d closed", session.id)
-
-    async def _reader_loop(self, session: Session, reader: asyncio.StreamReader) -> None:
-        while not session.closing:
-            try:
-                data = await reader.read(65536)
-            except (ConnectionError, OSError):
-                return
-            if not data:
-                return
-            # The replies to one read are queued together, as one chunk. They
-            # stay in order with pub/sub deliveries: nothing awaits between
-            # decoding and the flush, so no other session runs meanwhile, and a
-            # subscribed session cannot PUBLISH, so it cannot deliver to itself.
-            parts: list[bytes] = []
-            size = 0
-            try:
-                for item in session.decoder.feed(data):
-                    if isinstance(item, InlineCommandError):
-                        out = encode_error(f"ERR Protocol error: {item}")
-                    elif isinstance(item, ProtocolError):
-                        # Fatal framing error: tell the client, then hang up.
-                        log.info("session %d protocol error: %s", session.id, item)
-                        parts.append(encode_error(f"ERR Protocol error: {item.reason}"))
-                        return
-                    else:
-                        out = self.router.dispatch(session, item)
-                    parts.append(out)
-                    size += len(out)
-                    # Hand over early at FLUSH_BYTES, and as soon as the output
-                    # queue would overflow, so an overflowing session is cut
-                    # before its next command runs.
-                    if size >= FLUSH_BYTES or size + session.queued_bytes > session.queue_limit:
-                        _flush(session, parts)
-                        size = 0
-                    if session.close_requested or session.closing:
-                        return
-            finally:
-                _flush(session, parts)
+            log.info("session %d closed: %s", session.id, session.close_reason)
 
     async def _writer_loop(self, session: Session) -> None:
         writer = session.writer
         try:
-            while True:
-                data = await session.queue.get()
-                if data is None:
-                    break
+            while (data := await session.queue.get()) is not None:
                 writer.write(data)
                 await writer.drain()
                 session.queued_bytes -= len(data)
-        except (ConnectionError, OSError):
-            pass
+        except (ConnectionError, OSError) as exc:
+            session.close(f"write failed: {exc!r}")
         finally:
-            session.closing = True
             writer.close()
-            try:
+            with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 async def _serve_until_signalled(config: ServerConfig) -> None:

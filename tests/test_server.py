@@ -6,6 +6,7 @@ import asyncio
 import concurrent.futures
 import contextlib
 import gc
+import logging
 import os
 import queue
 import re
@@ -655,10 +656,10 @@ def test_server_binary_stops_cleanly_on_sigterm():
 
 
 @contextlib.contextmanager
-def _server_process(log_path: Path):
+def _server_process(log_path: Path, flags: list[str] = ()):
     """``python -m miniredis.server --port 0`` in its own process, as the
-    benchmark runs it; yields (pid, port) once it is listening."""
-    command = [sys.executable, "-m", "miniredis.server", "--port", "0"]
+    benchmark runs it, plus ``flags``; yields (pid, port) once it is listening."""
+    command = [sys.executable, "-m", "miniredis.server", "--port", "0", *flags]
     with open(log_path, "wb") as log, subprocess.Popen(
         command, stdout=subprocess.DEVNULL, stderr=log, env=_server_env()
     ) as proc:
@@ -752,3 +753,76 @@ def test_parked_partial_frames_cost_memory_linear_in_what_was_sent(tmp_path):
     assert rise <= 3 * parked + (2 << 20), (
         f"RSS rose by {rise >> 10} KiB for {parked >> 10} KiB parked"
     )
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc")
+def test_client_that_never_reads_is_cut_at_the_output_queue_limit(tmp_path):
+    # A client with a small receive buffer sends GETs of a 64 KiB value in
+    # batches of four and reads none of the replies. Once they pass
+    # output-queue-limit the server hangs up on it, while a fresh client is
+    # still answered between batches and RSS stays within a few limits.
+    limit = 1 << 20
+    log_path = tmp_path / "server.log"
+    flags = ["--output-queue-limit", str(limit)]
+    with _server_process(log_path, flags) as (pid, port):
+        address = ("127.0.0.1", port)
+        with socket.create_connection(address, timeout=10) as fresh, socket.socket() as slow:
+            fresh.sendall(resp_command(b"SET", b"big", bytes(64 << 10)))
+            assert recv_exactly(fresh, 5) == b"+OK\r\n"
+            before = _rss(pid)
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 << 10)
+            slow.settimeout(10)
+            slow.connect(address)
+            for _ in range(120):  # at most 480 GETs, 30 MiB of replies
+                try:
+                    slow.sendall(resp_command(b"GET", b"big") * 4)
+                except ConnectionError:
+                    pass  # a reset: the server has already hung up
+                fresh.sendall(resp_command(b"PING"))
+                assert recv_exactly(fresh, 7) == b"+PONG\r\n"
+                if b"output queue over" in log_path.read_bytes():
+                    break
+            else:
+                pytest.fail("the client that never reads was not cut")
+            rise = _rss(pid) - before
+            with contextlib.suppress(ConnectionError):
+                while slow.recv(1 << 20):  # what was written before the cut, then EOF
+                    pass
+            fresh.sendall(resp_command(b"PING"))
+            assert recv_exactly(fresh, 7) == b"+PONG\r\n"
+    assert re.search(rb"session \d+ closed: output queue overflow", log_path.read_bytes())
+    assert rise <= 4 * limit + (2 << 20), f"RSS rose by {rise >> 10} KiB"
+
+
+@pytest.mark.parametrize(
+    "request_bytes, reply, reason",
+    [
+        (b"", b"", "connection closed"),
+        (resp_command(b"QUIT"), b"+OK\r\n", "QUIT"),
+        (b"*1\r\n:5\r\n", b"-ERR Protocol error: expected '$', got b':'\r\n", "protocol error"),
+        (resp_command(b"GET", b"big"), b"", "output queue overflow"),
+    ],
+    ids=["eof", "quit", "fatal-frame", "overflow"],
+)
+def test_each_close_logs_one_line_with_its_reason(caplog, request_bytes, reply, reason):
+    caplog.set_level(logging.INFO, logger="miniredis.server")
+    with ServerThread(ServerConfig(port=0, output_queue_limit=1024)) as srv:
+        with Connection(srv.host, srv.port) as conn:
+            conn.execute("SET", "big", b"x" * 4096)
+        with connect_raw(srv) as sock:
+            port = sock.getsockname()[1]
+            sock.sendall(request_bytes + resp_command(b"PING"))
+            if not request_bytes:
+                assert recv_exactly(sock, 7) == b"+PONG\r\n"
+            else:
+                assert recv_until_closed(sock) == reply
+        deadline = time.monotonic() + 5
+        while not (ids := re.findall(rf"session (\d+) connected from \S+ {port}\)", caplog.text)):
+            assert time.monotonic() < deadline, caplog.text
+            time.sleep(0.01)
+        prefix = f"session {ids[0]} closed: "
+        while not any(m.startswith(prefix) for m in caplog.messages):
+            assert time.monotonic() < deadline, caplog.text
+            time.sleep(0.01)
+    closed = [m for m in caplog.messages if m.startswith(prefix)]
+    assert len(closed) == 1 and closed[0].startswith(prefix + reason), closed
